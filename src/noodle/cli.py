@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from noodle import __version__
 from noodle.evolution import EvolutionConfig, evolve
@@ -75,6 +76,15 @@ def _thread_cap() -> int:
     return value
 
 
+@contextmanager
+def _usage_errors():
+    """Report a ``ValueError`` from building a config or a grammar as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
+
+
 def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
 
@@ -105,7 +115,8 @@ def cmd_parse(args) -> int:
 
 def cmd_grammar(args) -> int:
     model = _load_model(args.model)
-    grammar = derive_grammar(model, budget=args.budget)
+    with _usage_errors():
+        grammar = derive_grammar(model, budget=args.budget)
     sys.stdout.write(render_grammar(grammar))
     return EXIT_OK
 
@@ -136,16 +147,17 @@ def cmd_neighbors(args) -> int:
 def cmd_synth(args) -> int:
     _thread_cap()
     model = _load_model(args.model)
-    config = EvolutionConfig(
-        population_size=args.pop,
-        generations=args.gens,
-        sample_count=args.samples,
-        inspection_cap=args.cap,
-        fuel=args.fuel,
-        seed=args.seed,
-        genome_length=args.genome_length,
-        var_budget=args.budget,
-    )
+    with _usage_errors():
+        config = EvolutionConfig(
+            population_size=args.pop,
+            generations=args.gens,
+            sample_count=args.samples,
+            inspection_cap=args.cap,
+            fuel=args.fuel,
+            seed=args.seed,
+            genome_length=args.genome_length,
+            var_budget=args.budget,
+        )
     report = evolve(model, config)
     payload = json.dumps(report.to_json(), sort_keys=True) + "\n"
     sys.stdout.write(payload)
@@ -165,13 +177,14 @@ def cmd_solve(args) -> int:
     _thread_cap()
     model = _load_model(args.model)
     program = _load_program(args.op)
-    config = SearchConfig(
-        restarts=args.restarts,
-        max_steps=args.max_steps,
-        neighbor_cap=args.cap,
-        fuel=args.fuel,
-        seed=args.seed,
-    )
+    with _usage_errors():
+        config = SearchConfig(
+            restarts=args.restarts,
+            max_steps=args.max_steps,
+            neighbor_cap=args.cap,
+            fuel=args.fuel,
+            seed=args.seed,
+        )
     try:
         result = solve(model, program, config)
     except (ValueError, InfeasibleError) as exc:

@@ -19,6 +19,7 @@ from noodle.grammar import (
     DEFAULT_GENOME_LENGTH,
     DEFAULT_MAX_DEPTH,
     DEFAULT_WRAP_LIMIT,
+    MIN_VAR_BUDGET,
     MappingOutcome,
     derive_grammar,
     map_genome,
@@ -86,6 +87,8 @@ class EvolutionConfig:
         for name in ("generations", "elitism", "inspection_cap", "wrap_limit", "max_depth", "fuel"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.var_budget < MIN_VAR_BUDGET:
+            raise ValueError(f"var_budget must be at least {MIN_VAR_BUDGET}")
 
     def to_json(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from noodle.model import Model
 DEFAULT_GENOME_LENGTH = 80
 DEFAULT_WRAP_LIMIT = 2
 DEFAULT_MAX_DEPTH = 12
+MIN_VAR_BUDGET = 2
 
 NT = "NT"
 T = "T"
@@ -67,8 +68,8 @@ def derive_grammar(model: Model, budget: int = 6, max_depth: int = DEFAULT_MAX_D
     limit.  Binding discipline is deliberately not encoded here; the
     static analyzer rejects ill-bound programs after mapping.
     """
-    if budget < 2:
-        raise ValueError("variable budget must be at least 2")
+    if budget < MIN_VAR_BUDGET:
+        raise ValueError(f"variable budget must be at least {MIN_VAR_BUDGET}")
 
     def nt(name: str) -> Symbol:
         return (NT, name)

@@ -3,8 +3,8 @@
 ``neighbors`` explores every derivation branch of a program depth-first
 and returns the distinct terminal assignments other than the start.
 
-Atom semantics, with R the relation a constraint name induces on the
-live state:
+Atom semantics, with R the union of ``ConstraintDecl.pairs`` over the
+constraints a name denotes, on the live state:
 
 * ``constraint(name, a, b)``: with both operands unbound, branch over all
   pairs of R, binding them; with one bound, branch over the matching
@@ -72,46 +72,22 @@ class _Context:
     """Per-call lookup tables; the model itself is never mutated."""
 
     def __init__(self, model: Model, reverse_pairs: bool):
-        self.model = model
         self.reverse_pairs = reverse_pairs
         self.domains = [v.domain for v in model.variables]
-        self.by_name: dict[str, list] = {}
-        for c in model.constraints:
-            for name in c.names:
-                self.by_name.setdefault(name, [])
-                if c not in self.by_name[name]:
-                    self.by_name[name].append(c)
+        names = {name for c in model.constraints for name in c.names}
+        self.by_name = {name: model.constraints_by_name(name) for name in names}
         self.walk_pos = model.walk_positions()
-        structural = model.structural_constraint()
-        if structural is not None:
-            self.walk_scope = structural.scope
-        else:
-            self.walk_scope = tuple(v.id for v in model.variables)
-        self.group_size = len(self.walk_scope)
+        self.walk_scope = model.walk_scope()
+        self.structural = model.structural_constraint()
+        self.chain = dict(zip(self.walk_scope, self.walk_scope[1:]))
 
     def relation(self, name: str, state: list[int]) -> list[tuple[int, int]]:
-        pairs: set[tuple[int, int]] = set()
-        for c in self.by_name.get(name, ()):
-            if c.kind == "circuit":
-                size = len(c.scope)
-                for vid in c.scope:
-                    value = state[vid - 1]
-                    if 1 <= value <= size:
-                        pairs.add((vid, c.scope[value - 1]))
-            elif c.kind == "all_different":
-                for i, a in enumerate(c.scope):
-                    for b in c.scope[i + 1 :]:
-                        if state[a - 1] == state[b - 1]:
-                            pairs.add((a, b))
-                            pairs.add((b, a))
-            else:  # not_equal
-                a, b = c.scope
-                pairs.add((a, b))
-                pairs.add((b, a))
-        ordered = sorted(pairs)
-        if self.reverse_pairs:
-            ordered.reverse()
-        return ordered
+        constraints = self.by_name.get(name, ())
+        if len(constraints) == 1:  # one constraint's pairs never repeat
+            pairs = constraints[0].pairs(state)
+        else:
+            pairs = {p for c in constraints for p in c.pairs(state)}
+        return sorted(pairs, reverse=self.reverse_pairs)
 
     def walk_successors(self, state: list[int]) -> dict[int, int]:
         """Snapshot successor map for iterate.
@@ -120,19 +96,9 @@ class _Context:
         every entry is unique) or from the canonical variable chain; a
         variable outside the map is a missing successor and stops walks.
         """
-        structural = self.model.structural_constraint()
-        succ: dict[int, int] = {}
-        if structural is not None:
-            size = len(structural.scope)
-            for vid in structural.scope:
-                value = state[vid - 1]
-                if 1 <= value <= size:
-                    succ[vid] = structural.scope[value - 1]
-        else:
-            ids = self.walk_scope
-            for a, b in zip(ids, ids[1:]):
-                succ[a] = b
-        return succ
+        if self.structural is None:
+            return self.chain
+        return dict(self.structural.pairs(state))
 
 
 def neighbors(
@@ -231,7 +197,7 @@ def neighbors(
             cur = start_vid
             walk_state = state
             walk_env = env_walk
-            for _ in range(ctx.group_size):
+            for _ in range(len(ctx.walk_scope)):
                 nxt = succ.get(cur)
                 if nxt is None or nxt == start_vid:
                     break

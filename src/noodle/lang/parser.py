@@ -10,7 +10,7 @@ from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Va
 ATOM_HEADS = ("constraint", "swap_values", "redirect", "iterate")
 
 _VAR_RE = re.compile(r"t\d+\Z")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class ParseError(ValueError):
@@ -53,7 +53,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             column += 1
             continue
-        m = _IDENT_RE.match(text, i)
+        m = IDENT_RE.match(text, i)
         if m:
             tokens.append(_Token("IDENT", m.group(), line, column))
             column += len(m.group())

@@ -3,11 +3,11 @@
 A model declares integer variables with finite domains, named variable
 groups, and constraints drawn from a small catalog (circuit,
 all_different, not_equal).  Assignments are total maps from variables to
-in-domain values.  Besides satisfaction checking, each constraint induces
-a binary relation over variables (`relation_pairs`) that the NDL
-interpreter enumerates; domains double as the pruning mechanism for
-degenerate moves (an effect writing an out-of-domain value kills its
-derivation branch).
+in-domain values.  Each kind's meaning is defined once, on
+`ConstraintDecl`: `satisfied` and `pairs`, the binary relation over
+variables a constraint induces, which the NDL interpreter enumerates.
+Domains double as the pruning mechanism for degenerate moves (an effect
+writing an out-of-domain value kills its derivation branch).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+
+from noodle.lang.parser import IDENT_RE
 
 CONSTRAINT_KINDS = ("circuit", "all_different", "not_equal")
 OBJECTIVE_KINDS = ("none", "next_cost", "distinct_count")
@@ -51,6 +53,47 @@ class ConstraintDecl:
     def names(self) -> tuple[str, ...]:
         return (self.alias, self.kind) if self.alias else (self.kind,)
 
+    def satisfied(self, values: tuple[int, ...]) -> bool:
+        """Satisfaction under ``values``: for circuit, one cycle covering every scope
+        position; for all_different and not_equal (a 2-scope all_different), no equal scope values."""
+        if self.kind == "circuit":
+            n = len(self.scope)
+            pos = 1
+            for step in range(n):
+                pos = values[self.scope[pos - 1] - 1]
+                if not 1 <= pos <= n:
+                    return False
+                if pos == 1:
+                    return step == n - 1
+            return False
+        return len({values[vid - 1] for vid in self.scope}) == len(self.scope)
+
+    def pairs(self, values: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The binary relation this constraint induces under ``values``, without repeats.
+
+        circuit: the successor relation {(x, y) : value(x) = position(y)},
+        skipping a variable whose value is no scope position;
+        all_different: current conflict pairs, both orderings;
+        not_equal: both orderings of its static scope pair.
+        """
+        scope = self.scope
+        if self.kind == "not_equal":
+            a, b = scope
+            return [(a, b), (b, a)]
+        pairs = []
+        if self.kind == "circuit":
+            n = len(scope)
+            for vid in scope:
+                value = values[vid - 1]
+                if 1 <= value <= n:
+                    pairs.append((vid, scope[value - 1]))
+        else:
+            for i, a in enumerate(scope):
+                for b in scope[i + 1 :]:
+                    if values[a - 1] == values[b - 1]:
+                        pairs += [(a, b), (b, a)]
+        return pairs
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -80,10 +123,9 @@ class Model:
         return self.variables[vid - 1]
 
     def constraint(self, cid: int) -> ConstraintDecl:
-        for c in self.constraints:
-            if c.id == cid:
-                return c
-        raise KeyError(f"unknown constraint id {cid}")
+        if not 1 <= cid <= len(self.constraints):
+            raise KeyError(f"unknown constraint id {cid}")
+        return self.constraints[cid - 1]
 
     def constraints_by_name(self, name: str) -> list[ConstraintDecl]:
         """Constraints whose alias or kind matches ``name``."""
@@ -109,16 +151,17 @@ class Model:
     def structural_constraint(self) -> ConstraintDecl | None:
         return self.constraint(self.structural) if self.structural is not None else None
 
-    def walk_positions(self) -> dict[int, int]:
-        """1-based position of each variable along the structural group.
-
-        Without a structural constraint the canonical chain x1, x2, ... xn
-        over all variables supplies the positions.  This is the target
-        coordinate system of the `redirect` effect.
-        """
+    def walk_scope(self) -> tuple[int, ...]:
+        """The variables walks run over: the structural scope, else all in declaration order."""
         sc = self.structural_constraint()
-        scope = sc.scope if sc is not None else tuple(v.id for v in self.variables)
-        return {vid: i + 1 for i, vid in enumerate(scope)}
+        return sc.scope if sc is not None else tuple(v.id for v in self.variables)
+
+    def walk_positions(self) -> dict[int, int]:
+        """1-based position of each variable along the walk scope.
+
+        This is the target coordinate system of the `redirect` effect.
+        """
+        return {vid: i + 1 for i, vid in enumerate(self.walk_scope())}
 
     def validate_assignment(self, assignment: Assignment) -> None:
         if len(assignment.values) != len(self.variables):
@@ -135,17 +178,22 @@ def _require(condition: bool, message: str, path: str) -> None:
         raise ModelError(message, path)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as ``bool``, an ``int`` subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_domain(spec, path: str) -> frozenset[int]:
     _require(isinstance(spec, dict), "domain must be an object", path)
     if "lo" in spec or "hi" in spec:
         _require("lo" in spec and "hi" in spec, "interval domain needs both 'lo' and 'hi'", path)
         lo, hi = spec["lo"], spec["hi"]
-        _require(isinstance(lo, int) and isinstance(hi, int), "interval bounds must be integers", path)
+        _require(_is_int(lo) and _is_int(hi), "interval bounds must be integers", path)
         _require(lo <= hi, "empty domain", path)
         return frozenset(range(lo, hi + 1))
     if "set" in spec:
         values = spec["set"]
-        _require(isinstance(values, list) and all(isinstance(v, int) for v in values), "domain set must be a list of integers", path)
+        _require(isinstance(values, list) and all(_is_int(v) for v in values), "domain set must be a list of integers", path)
         _require(len(values) > 0, "empty domain", path)
         _require(len(set(values)) == len(values), "duplicate values in domain set", path)
         return frozenset(values)
@@ -228,13 +276,17 @@ def load_model(document) -> Model:
                     f"{path}.scope",
                 )
         alias = rc.get("alias")
-        _require(alias is None or isinstance(alias, str), "alias must be a string", f"{path}.alias")
+        _require(
+            alias is None or isinstance(alias, str) and IDENT_RE.fullmatch(alias),
+            "alias must be an identifier (a letter or '_', then letters, digits or '_')",
+            f"{path}.alias",
+        )
         constraints.append(ConstraintDecl(id=i + 1, kind=kind, scope=scope, alias=alias))
 
     structural = None
     if document.get("structural") is not None:
         idx = document["structural"]
-        _require(isinstance(idx, int) and 0 <= idx < len(constraints), "structural must index a constraint", "structural")
+        _require(_is_int(idx) and 0 <= idx < len(constraints), "structural must index a constraint", "structural")
         _require(constraints[idx].kind == "circuit", "structural constraint must be of kind 'circuit'", "structural")
         structural = constraints[idx].id
 
@@ -254,7 +306,7 @@ def load_model(document) -> Model:
             path = f"objective.matrix[{r}]"
             _require(isinstance(row, list) and len(row) == side, f"matrix row must have {side} entries", path)
             for c, entry in enumerate(row):
-                _require(isinstance(entry, (int, float)), "matrix entries must be numbers", f"{path}[{c}]")
+                _require(_is_int(entry) or isinstance(entry, float), "matrix entries must be numbers", f"{path}[{c}]")
                 _require(r == c or entry >= 0, "off-diagonal costs must be non-negative", f"{path}[{c}]")
             rows.append(tuple(row))
         matrix = tuple(rows)
@@ -281,73 +333,31 @@ def load_assignment(document) -> Assignment:
             raise ModelError(f"not valid JSON: {exc}") from exc
     _require(isinstance(document, dict) and isinstance(document.get("values"), list), "assignment document must be {'values': [...]}", "values")
     values = document["values"]
-    _require(all(isinstance(v, int) for v in values), "values must be integers", "values")
+    _require(all(_is_int(v) for v in values), "values must be integers", "values")
     return Assignment(values=tuple(values))
-
-
-def _circuit_satisfied(constraint: ConstraintDecl, values: tuple[int, ...]) -> bool:
-    """True iff the scope values form one cycle covering every scope position."""
-    n = len(constraint.scope)
-    pos = 1
-    for step in range(n):
-        vid = constraint.scope[pos - 1]
-        nxt = values[vid - 1]
-        if not 1 <= nxt <= n:
-            return False
-        pos = nxt
-        if pos == 1:
-            return step == n - 1
-    return False
 
 
 def check(model: Model, constraint_id: int, assignment: Assignment) -> bool:
     """Satisfaction of one constraint under a total, in-domain assignment."""
-    c = model.constraint(constraint_id)
-    values = assignment.values
-    if c.kind == "circuit":
-        return _circuit_satisfied(c, values)
-    if c.kind == "all_different":
-        scoped = [values[vid - 1] for vid in c.scope]
-        return len(set(scoped)) == len(scoped)
-    # not_equal
-    a, b = c.scope
-    return values[a - 1] != values[b - 1]
+    return model.constraint(constraint_id).satisfied(assignment.values)
 
 
 def violations(model: Model, assignment: Assignment) -> dict[str, int]:
     """Number of unsatisfied constraints per kind present in the model."""
     counts = {kind: 0 for kind in model.kinds()}
     for c in model.constraints:
-        if not check(model, c.id, assignment):
+        if not c.satisfied(assignment.values):
             counts[c.kind] += 1
     return counts
 
 
 def is_feasible(model: Model, assignment: Assignment) -> bool:
-    return all(count == 0 for count in violations(model, assignment).values())
+    return all(c.satisfied(assignment.values) for c in model.constraints)
 
 
 def relation_pairs(model: Model, constraint_id: int, assignment: Assignment) -> set[tuple[int, int]]:
-    """The binary relation a constraint induces under the current assignment.
-
-    circuit: the successor relation {(x, y) : value(x) = position(y)};
-    all_different: current conflict pairs, both orderings;
-    not_equal: both orderings of its static scope pair.
-    """
-    c = model.constraint(constraint_id)
-    values = assignment.values
-    if c.kind == "circuit":
-        return {(vid, c.scope[values[vid - 1] - 1]) for vid in c.scope}
-    if c.kind == "all_different":
-        pairs = set()
-        for i, a in enumerate(c.scope):
-            for b in c.scope[i + 1 :]:
-                if values[a - 1] == values[b - 1]:
-                    pairs.add((a, b))
-                    pairs.add((b, a))
-        return pairs
-    a, b = c.scope
-    return {(a, b), (b, a)}
+    """The binary relation a constraint induces under the current assignment."""
+    return set(model.constraint(constraint_id).pairs(assignment.values))
 
 
 def objective(model: Model, assignment: Assignment):

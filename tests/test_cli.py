@@ -192,6 +192,22 @@ class TestMisc:
         proc = run_cli("synth", "--model", fixture("tsp6.json"))  # missing --seed
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--pop", "0"),
+            ("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--budget", "1"),
+            ("grammar", "--model", fixture("tsp6.json"), "--budget", "1"),
+            ("solve", "--model", fixture("tsp6.json"), "--op", fixture("two_opt.ndl"), "--seed", "1", "--restarts", "-1"),
+        ],
+    )
+    def test_config_errors_exit_two_with_one_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     def test_stdout_machine_parseable_everywhere(self):
         proc = run_cli("check", fixture("coloring_triangle.json"))
         json.loads(proc.stdout)

@@ -107,6 +107,33 @@ class TestLoadModel:
         assignment = load_assignment('{"values": [2, 3, 1]}')
         assert assignment.values == (2, 3, 1)
 
+    def test_non_identifier_alias(self):
+        doc = circuit_model_doc(3)
+        doc["constraints"][0]["alias"] = "a-b ne"
+        with pytest.raises(ModelError) as err:
+            load_model(doc)
+        assert err.value.path == "constraints[0].alias"
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [
+            ("domain", {"lo": True, "hi": 3}, "variables[0].domain"),
+            ("domain", {"set": [True, 2, 3]}, "variables[0].domain"),
+            ("objective", {"kind": "next_cost", "matrix": [[0, True, 1], [1, 0, 1], [1, 1, 0]]}, "objective.matrix[0][1]"),
+            ("structural", False, "structural"),
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, key, value, path):
+        doc = circuit_model_doc(3)
+        (doc["variables"][0] if key == "domain" else doc)[key] = value
+        with pytest.raises(ModelError) as err:
+            load_model(doc)
+        assert err.value.path == path
+
+    def test_assignment_booleans_are_not_integers(self):
+        with pytest.raises(ModelError, match="integers"):
+            load_assignment('{"values": [true, 2, 3]}')
+
 
 class TestCheck:
     def test_circuit_true_on_full_cycle(self, tsp4):
@@ -119,8 +146,9 @@ class TestCheck:
         assert check(triangle, 1, Assignment(values=(1, 1, 2))) is False
 
     def test_unknown_constraint_id(self, tsp4):
-        with pytest.raises(KeyError):
-            check(tsp4, 99, Assignment(values=(2, 3, 4, 1)))
+        for cid in (99, 0, -1):
+            with pytest.raises(KeyError):
+                check(tsp4, cid, Assignment(values=(2, 3, 4, 1)))
 
 
 class TestViolations:
@@ -139,6 +167,10 @@ class TestRelationPairs:
     def test_circuit_successor_relation(self, tsp4):
         pairs = relation_pairs(tsp4, 1, Assignment(values=(2, 3, 4, 1)))
         assert pairs == {(1, 2), (2, 3), (3, 4), (4, 1)}
+
+    def test_circuit_value_outside_positions_has_no_successor(self, tsp4):
+        pairs = relation_pairs(tsp4, 1, Assignment(values=(0, 3, 4, 1)))
+        assert pairs == {(2, 3), (3, 4), (4, 1)}
 
     def test_all_different_conflict_pairs(self):
         doc = {
@@ -168,6 +200,25 @@ class TestRelationPairs:
         model = load_model(doc)
         pairs = relation_pairs(model, 1, Assignment(values=tuple(values)))
         assert {(b, a) for a, b in pairs} == pairs
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_pairs_never_repeat(self, n, data):
+        names = [f"v{i}" for i in range(1, n + 1)]
+        doc = {
+            "name": "mixed",
+            "variables": [{"name": v, "domain": {"lo": 1, "hi": n}} for v in names],
+            "constraints": [
+                {"kind": "circuit", "scope": names},
+                {"kind": "all_different", "scope": names},
+                {"kind": "not_equal", "scope": names[:2]},
+            ],
+        }
+        values = tuple(data.draw(st.integers(0, n + 1)) for _ in range(n))
+        for constraint in load_model(doc).constraints:
+            pairs = constraint.pairs(values)
+            assert len(pairs) == len(set(pairs))
 
 
 class TestCircuitAgainstCycleOracle:
@@ -203,6 +254,34 @@ class TestCircuitAgainstCycleOracle:
         counts = violations(model, assignment)
         all_ok = all(check(model, c.id, assignment) for c in model.constraints)
         assert (sum(counts.values()) == 0) == all_ok
+
+
+class TestDistinctnessAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_all_different_check_iff_pairwise_distinct(self, n, data):
+        doc = {
+            "name": "ad",
+            "variables": [{"name": f"v{i}", "domain": {"lo": 1, "hi": n}} for i in range(1, n + 1)],
+            "constraints": [{"kind": "all_different", "scope": [f"v{i}" for i in range(1, n + 1)]}],
+        }
+        model = load_model(doc)
+        values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
+        distinct = all(x != y for x, y in itertools.combinations(values, 2))
+        assert check(model, 1, Assignment(values=values)) == distinct
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_not_equal_check_iff_scope_values_differ(self, n, data):
+        a, b = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        doc = {
+            "name": "ne",
+            "variables": [{"name": f"v{i}", "domain": {"lo": 1, "hi": 3}} for i in range(1, n + 1)],
+            "constraints": [{"kind": "not_equal", "scope": [f"v{a}", f"v{b}"]}],
+        }
+        model = load_model(doc)
+        values = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
+        assert check(model, 1, Assignment(values=values)) == (values[a - 1] != values[b - 1])
 
 
 class TestObjective:
