@@ -122,6 +122,9 @@ def cmd_grammar(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
+    for flag, value in (("--fuel", args.fuel), ("--cap", args.cap)):
+        if value < 0:
+            raise CliError(f"{flag} must be non-negative", EXIT_USAGE)
     model = _load_model(args.model)
     program = _load_program(args.op)
     try:
@@ -229,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="evolve an operator for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pop", type=int, default=200)
-    p.add_argument("--gens", type=int, default=100)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--fuel", type=int, default=20_000)
-    p.add_argument("--genome-length", type=int, default=80)
-    p.add_argument("--budget", type=int, default=DEFAULT_VAR_BUDGET)
+    p.add_argument("--pop", type=int, default=EvolutionConfig.population_size)
+    p.add_argument("--gens", type=int, default=EvolutionConfig.generations)
+    p.add_argument("--samples", type=int, default=EvolutionConfig.sample_count)
+    p.add_argument("--cap", type=int, default=EvolutionConfig.inspection_cap)
+    p.add_argument("--fuel", type=int, default=EvolutionConfig.fuel)
+    p.add_argument("--genome-length", type=int, default=EvolutionConfig.genome_length)
+    p.add_argument("--budget", type=int, default=EvolutionConfig.var_budget)
     p.add_argument("--out", help="write the best operator's NDL text here")
     p.add_argument("--report", help="write the report JSON here as well as stdout")
     p.add_argument("--strict", action="store_true")
@@ -245,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--op", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--max-steps", type=int, default=SearchConfig.max_steps)
+    p.add_argument("--cap", type=int, default=SearchConfig.neighbor_cap)
+    p.add_argument("--fuel", type=int, default=SearchConfig.fuel)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_solve)
 

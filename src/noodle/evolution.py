@@ -20,7 +20,6 @@ from noodle.grammar import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_WRAP_LIMIT,
     MIN_VAR_BUDGET,
-    MappingOutcome,
     derive_grammar,
     map_genome,
 )
@@ -148,7 +147,7 @@ class EvolutionReport:
 
 
 def evaluate_fitness(
-    candidate: MappingOutcome | Program,
+    program: Program,
     model: Model,
     samples: list[Assignment],
     *,
@@ -158,20 +157,13 @@ def evaluate_fitness(
 ) -> Fitness:
     """Score one candidate program against feasible sample assignments.
 
-    Invalid mappings and analyzer errors are rejected without running the
-    interpreter (tier STATIC_REJECT, zero fuel).  Producing no neighbor at
-    all on some sample is tier BARREN.  Otherwise the candidate is VALID:
+    Analyzer errors are rejected without running the interpreter (tier
+    STATIC_REJECT, zero fuel).  Producing no neighbor at all on some
+    sample is tier BARREN.  Otherwise the candidate is VALID:
     ``preserved`` counts the constraint kinds no inspected neighbor
     violates, ``productivity`` the smallest per-sample feasible-neighbor
     count, and ``size_penalty`` the optimized program's atom count.
     """
-    if isinstance(candidate, MappingOutcome):
-        if not candidate.ok:
-            return Fitness(tier="STATIC_REJECT", notes=(candidate.invalid,))
-        program = candidate.program
-    else:
-        program = candidate
-
     diagnostics = analyze(program, model, budget=budget)
     if not diagnostics.ok:
         codes = tuple(sorted({d.code for d in diagnostics.errors}))
@@ -252,54 +244,48 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
         for _ in range(config.population_size)
     ]
 
-    program_memo: dict[str, Fitness] = {}
-
-    def evaluate(genome: tuple[int, ...]) -> Fitness:
-        outcome = map_genome(grammar, genome, wrap_limit=config.wrap_limit, max_depth=config.max_depth)
-        if not outcome.ok:
-            return Fitness(tier="STATIC_REJECT", notes=(outcome.invalid,))
-        text = render(outcome.program)
-        cached = program_memo.get(text)
-        if cached is None:
-            cached = evaluate_fitness(
-                outcome,
-                model,
-                samples,
-                fuel=config.fuel,
-                cap=config.inspection_cap,
-                budget=config.var_budget,
-            )
-            program_memo[text] = cached
-        return cached
-
-    def best_text(genome: tuple[int, ...]) -> str:
-        outcome = map_genome(grammar, genome, wrap_limit=config.wrap_limit, max_depth=config.max_depth)
-        return render(optimize(outcome.program)) if outcome.ok else ""
-
+    # one fitness per distinct program text over the whole run
+    memo: dict[str, Fitness] = {}
     best_genome = population[0]
     best_fitness = None
+    best_program = ""
     stats: list[GenerationStat] = []
 
     generation_count = max(config.generations, 1)
     for gen in range(generation_count):
-        genome_memo: dict[tuple[int, ...], Fitness] = {}
+        outcomes = [
+            map_genome(grammar, genome, wrap_limit=config.wrap_limit, max_depth=config.max_depth)
+            for genome in population
+        ]
         fitnesses = []
-        for genome in population:
-            cached = genome_memo.get(genome)
-            if cached is None:
-                cached = evaluate(genome)
-                genome_memo[genome] = cached
-            fitnesses.append(cached)
+        for outcome in outcomes:
+            if not outcome.ok:
+                fitnesses.append(Fitness(tier="STATIC_REJECT", notes=(outcome.invalid,)))
+                continue
+            text = render(outcome.program)
+            if text not in memo:
+                memo[text] = evaluate_fitness(
+                    outcome.program,
+                    model,
+                    samples,
+                    fuel=config.fuel,
+                    cap=config.inspection_cap,
+                    budget=config.var_budget,
+                )
+            fitnesses.append(memo[text])
 
         order = sorted(range(len(population)), key=lambda i: fitnesses[i].key(), reverse=True)
         gen_best = order[0]
+        gen_outcome = outcomes[gen_best]
+        gen_program = render(optimize(gen_outcome.program)) if gen_outcome.ok else ""
         if best_fitness is None or fitnesses[gen_best] > best_fitness:
             best_fitness = fitnesses[gen_best]
             best_genome = population[gen_best]
+            best_program = gen_program
         stats.append(
             GenerationStat(
                 best_fitness=fitnesses[gen_best],
-                best_program=best_text(population[gen_best]),
+                best_program=gen_program,
                 mean_preserved=sum(f.preserved for f in fitnesses) / len(fitnesses),
             )
         )
@@ -331,7 +317,7 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
     return EvolutionReport(
         config=config,
         generations=tuple(stats),
-        best_program=best_text(best_genome),
+        best_program=best_program,
         best_genome=best_genome,
         best_fitness=best_fitness,
         sample_seeds=seeds,

@@ -1,23 +1,21 @@
 """Problem-specialized BNF derivation and genotype->phenotype mapping.
 
 The grammar is derived from a constraint model: constraint surface names
-become the alternatives of ``<cname>``, the variable budget sizes
-``<var>``, and the ``redirect`` effect is only offered when the model has
-a structural circuit to give positions meaning.  Mapping a codon genome
-through the grammar always yields syntactically correct NDL text (or an
-Invalid outcome when the wrap or depth limit trips); alternative order is
-part of the contract because mapping indexes alternatives by codon value
-modulo the alternative count.
+become the alternatives of ``<cname>`` (no constraints, no ``<test>``),
+the variable budget sizes ``<var>``, and ``redirect`` is only offered when
+the model has a structural circuit to give positions meaning.  Each
+alternative carries the AST constructor its nonterminals feed, so mapping
+a codon genome builds the program directly (or an Invalid outcome when the
+wrap or depth limit trips).  Alternative order is part of the contract:
+mapping indexes alternatives by codon value modulo their count.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
-from noodle.lang.ast import Program
-from noodle.lang.parser import parse
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
 from noodle.model import Model
 
 DEFAULT_GENOME_LENGTH = 80
@@ -29,19 +27,19 @@ NT = "NT"
 T = "T"
 
 Symbol = tuple[str, str]  # (NT, "<conj>") or (T, "constraint(")
+# (symbols, build): build takes the values of the symbols' nonterminals in
+# order; an alternative without nonterminals holds its value as build
+Alternative = tuple[tuple[Symbol, ...], Any]
 
 
 @dataclass(frozen=True)
 class Grammar:
-    rules: tuple[tuple[str, tuple[tuple[Symbol, ...], ...]], ...]
+    rules: tuple[tuple[str, tuple[Alternative, ...]], ...]
     start: str = "<program>"
     max_depth: int = DEFAULT_MAX_DEPTH
 
-    def alternatives(self, name: str) -> tuple[tuple[Symbol, ...], ...]:
-        for lhs, alts in self.rules:
-            if lhs == name:
-                return alts
-        raise KeyError(name)
+    def alternatives(self, name: str) -> tuple[Alternative, ...]:
+        return dict(self.rules)[name]
 
     def nonterminals(self) -> list[str]:
         return [lhs for lhs, _ in self.rules]
@@ -78,24 +76,28 @@ def derive_grammar(model: Model, budget: int = 6, max_depth: int = DEFAULT_MAX_D
         return (T, text)
 
     effect_alts = [
-        (t("swap_values("), nt("<var>"), t(","), nt("<var>"), t(")")),
+        ((t("swap_values("), nt("<var>"), t(","), nt("<var>"), t(")")), Swap),
     ]
     if model.structural is not None:
-        effect_alts.append((t("redirect("), nt("<var>"), t(","), nt("<var>"), t(")")))
+        effect_alts.append(((t("redirect("), nt("<var>"), t(","), nt("<var>"), t(")")), Redirect))
+    names = model.constraint_names()
+    atoms = ("<test>", "<effect>", "<loop>") if names else ("<effect>", "<loop>")
 
     rules = (
-        ("<program>", ((nt("<conj>"),),)),
-        ("<conj>", ((nt("<atom>"),), (nt("<atom>"), t(","), nt("<conj>")))),
-        ("<atom>", ((nt("<test>"),), (nt("<effect>"),), (nt("<loop>"),))),
-        ("<test>", ((t("constraint("), nt("<cname>"), t(","), nt("<var>"), t(","), nt("<var>"), t(")")),)),
+        ("<program>", (((nt("<conj>"),), Program),)),
+        ("<conj>", (((nt("<atom>"),), lambda atom: (atom,)), ((nt("<atom>"), t(","), nt("<conj>")), lambda atom, rest: (atom, *rest)))),
+        ("<atom>", tuple(((nt(atom),), lambda value: value) for atom in atoms)),
+        ("<test>", (((t("constraint("), nt("<cname>"), t(","), nt("<var>"), t(","), nt("<var>"), t(")")), ConstraintAtom),)),
         ("<effect>", tuple(effect_alts)),
         (
             "<loop>",
-            ((t("iterate("), nt("<var>"), t("-"), nt("<var>"), t(","), nt("<var>"), t(","), t("("), nt("<conj>"), t(")"), t(")")),),
+            (((t("iterate("), nt("<var>"), t("-"), nt("<var>"), t(","), nt("<var>"), t(","), t("("), nt("<conj>"), t(")"), t(")")), Iterate),),
         ),
-        ("<cname>", tuple((t(name),) for name in model.constraint_names())),
-        ("<var>", tuple((t(f"t{i}"),) for i in range(budget))),
+        ("<cname>", tuple(((t(name),), name) for name in names)),
+        ("<var>", tuple(((t(f"t{i}"),), Var(i)) for i in range(budget))),
     )
+    if not names:
+        rules = tuple(rule for rule in rules if rule[0] not in ("<test>", "<cname>"))
     return Grammar(rules=rules, max_depth=max_depth)
 
 
@@ -116,26 +118,33 @@ def map_genome(
         raise ValueError("genome must be non-empty")
     if max_depth is None:
         max_depth = grammar.max_depth
+    rules = dict(grammar.rules)
     budget = len(genome) * (wrap_limit + 1)
     reads = 0
-    output: list[str] = []
-    work: deque[tuple[Symbol, int]] = deque([((NT, grammar.start), 0)])
+    work = [(grammar.start, 0)]  # nonterminals left to expand, leftmost last
+    chosen = []  # (build, arity) of each expansion, in pre-order
     while work:
-        (kind, text), depth = work.popleft()
-        if kind == T:
-            output.append(text)
-            continue
+        name, depth = work.pop()
         if depth >= max_depth:
             return MappingOutcome(program=None, consumed=reads, invalid="DEPTH_LIMIT")
         if reads >= budget:
             return MappingOutcome(program=None, consumed=reads, invalid="WRAP_LIMIT")
         codon = genome[reads % len(genome)]
         reads += 1
-        alts = grammar.alternatives(text)
-        chosen = alts[codon % len(alts)]
-        for symbol in reversed(chosen):
-            work.appendleft((symbol, depth + 1))
-    return MappingOutcome(program=parse("".join(output)), consumed=reads)
+        alts = rules[name]
+        symbols, build = alts[codon % len(alts)]
+        children = [(text, depth + 1) for kind, text in symbols if kind == NT]
+        chosen.append((build, len(children)))
+        work.extend(reversed(children))
+    # children follow their parent in pre-order, so folding from the end
+    # leaves an expansion's child values on top of the stack, leftmost last
+    values = []
+    for build, arity in reversed(chosen):
+        if arity:
+            build = build(*values[: -arity - 1 : -1])
+            del values[-arity:]
+        values.append(build)
+    return MappingOutcome(program=values[0], consumed=reads)
 
 
 def render_grammar(grammar: Grammar) -> str:
@@ -143,7 +152,7 @@ def render_grammar(grammar: Grammar) -> str:
     lines = []
     for lhs, alts in grammar.rules:
         rendered = []
-        for alt in alts:
-            rendered.append(" ".join(sym if kind == NT else f'"{sym}"' for kind, sym in alt))
+        for symbols, _ in alts:
+            rendered.append(" ".join(sym if kind == NT else f'"{sym}"' for kind, sym in symbols))
         lines.append(f"{lhs} ::= " + " | ".join(rendered))
     return "\n".join(lines) + "\n"

@@ -2,10 +2,15 @@
 
 Everything here works on plain successor arrays or cost matrices and
 never calls into the package's interpreter or search code, so the tests
-comparing the two stay two-sided.
+comparing the two stay two-sided.  The reference genome mapper reads only
+the grammar's symbols and builds its program through NDL text and the
+parser, never through the alternatives' AST constructors.
 """
 
+from collections import deque
 from itertools import permutations
+
+from noodle.lang.parser import parse
 
 
 def successor_cycles(values: tuple[int, ...]) -> int | None:
@@ -125,3 +130,32 @@ def greedy_coloring(order: list[int], adjacency: dict[int, set[int]]) -> dict[in
             color += 1
         colors[vertex] = color
     return colors
+
+
+def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int | None = None):
+    """Leftmost derivation that joins terminal strings, then parses the text.
+
+    Returns ``(program, consumed, invalid)`` with the mapper's codon,
+    wrap-limit and depth-limit rules.
+    """
+    rules = {lhs: [symbols for symbols, _ in alts] for lhs, alts in grammar.rules}
+    if max_depth is None:
+        max_depth = grammar.max_depth
+    budget = len(genome) * (wrap_limit + 1)
+    reads = 0
+    output = []
+    work = deque([(("NT", grammar.start), 0)])
+    while work:
+        (kind, text), depth = work.popleft()
+        if kind != "NT":
+            output.append(text)
+            continue
+        if depth >= max_depth:
+            return None, reads, "DEPTH_LIMIT"
+        if reads >= budget:
+            return None, reads, "WRAP_LIMIT"
+        alts = rules[text]
+        chosen = alts[genome[reads % len(genome)] % len(alts)]
+        reads += 1
+        work.extendleft((symbol, depth + 1) for symbol in reversed(chosen))
+    return parse("".join(output)), reads, None

@@ -169,6 +169,13 @@ class TestSynth:
         second = run_cli(*args)
         assert second.stdout == first.stdout
 
+    def test_model_without_constraints(self, tmp_path):
+        model = tmp_path / "free.json"
+        model.write_text(json.dumps({"variables": [{"name": n, "domain": {"lo": 1, "hi": 3}} for n in ("a", "b")]}))
+        proc = run_cli("synth", "--model", str(model), "--seed", "1", "--pop", "20", "--gens", "3")
+        assert proc.returncode == 0, proc.stderr
+        json.loads(proc.stdout)
+
     def test_thread_env_validated(self):
         proc = run_cli(
             "synth",
@@ -199,6 +206,8 @@ class TestMisc:
             ("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--budget", "1"),
             ("grammar", "--model", fixture("tsp6.json"), "--budget", "1"),
             ("solve", "--model", fixture("tsp6.json"), "--op", fixture("two_opt.ndl"), "--seed", "1", "--restarts", "-1"),
+            ("neighbors", "--model", fixture("tsp6.json"), "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--cap", "-1"),
+            ("neighbors", "--model", fixture("tsp6.json"), "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--fuel", "-3"),
         ],
     )
     def test_config_errors_exit_two_with_one_line(self, args):

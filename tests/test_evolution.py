@@ -4,7 +4,7 @@ import random
 import pytest
 
 from noodle.evolution import EvolutionConfig, Fitness, evaluate_fitness, evolve, sample_seeds_for, vary
-from noodle.grammar import MappingOutcome, derive_grammar, map_genome
+from noodle.grammar import derive_grammar, map_genome
 from noodle.lang.analyzer import optimize
 from noodle.lang.parser import parse
 from noodle.model import seed_assignment
@@ -62,13 +62,6 @@ class TestEvaluateFitness:
         assert fitness.tier == "BARREN"
         assert fitness.preserved == 0
 
-    def test_invalid_mapping_rejected_without_execution(self, tsp6):
-        outcome = MappingOutcome(program=None, consumed=3, invalid="WRAP_LIMIT")
-        fitness = evaluate_fitness(outcome, tsp6, samples_for(tsp6))
-        assert fitness.tier == "STATIC_REJECT"
-        assert fitness.fuel_used == 0
-        assert "WRAP_LIMIT" in fitness.notes
-
     def test_optimized_program_scores_like_raw(self, tsp6):
         raw = parse(
             "constraint(all_diff_next, t0, t1), swap_values(t0, t0), "
@@ -87,7 +80,7 @@ class TestEvaluateFitness:
             scores = {}
             for i in order:
                 outcome = map_genome(grammar, genomes[i])
-                scores[i] = evaluate_fitness(outcome, tsp6, samples).key()
+                scores[i] = evaluate_fitness(outcome.program, tsp6, samples).key() if outcome.ok else None
             return scores
 
         forward = run(range(30))
@@ -152,6 +145,16 @@ class TestEvolve:
         for stat in payload["generations"]:
             assert set(stat) == {"best", "mean_preserved"}
         assert len(payload["sample_seeds"]) == config.sample_count
+
+    def test_invalid_mappings_are_static_reject(self, tsp6):
+        # one codon and no wrap cannot get past <program> ::= <conj>
+        config = EvolutionConfig(population_size=10, generations=2, seed=3, genome_length=1, wrap_limit=0)
+        report = evolve(tsp6, config)
+        assert report.best_fitness.tier == "STATIC_REJECT"
+        assert report.best_fitness.notes == ("WRAP_LIMIT",)
+        assert report.best_fitness.fuel_used == 0
+        assert report.best_program == ""
+        assert all(stat.best_program == "" for stat in report.generations)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noodle.grammar import Grammar, derive_grammar, map_genome, render_grammar
+from noodle.grammar import NT, Grammar, derive_grammar, map_genome, render_grammar
 from noodle.lang.analyzer import analyze
 from noodle.lang.ast import render
 from noodle.lang.parser import parse
 from noodle.model import load_model
+from tests.oracles import text_map_genome
 
 genomes = st.lists(st.integers(0, 255), min_size=80, max_size=80)
+short_genomes = st.lists(st.integers(0, 255), min_size=1, max_size=40)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,16 @@ def two_constraint_model():
                 {"kind": "all_different", "scope": "next"},
             ],
             "structural": 0,
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def no_constraint_model():
+    return load_model(
+        {
+            "name": "free",
+            "variables": [{"name": name, "domain": {"lo": 1, "hi": 3}} for name in ("a", "b")],
         }
     )
 
@@ -60,10 +72,20 @@ class TestDeriveGrammar:
         with pytest.raises(ValueError):
             derive_grammar(tsp6, budget=1)
 
-    def test_every_nonterminal_has_alternatives(self, tsp6):
-        grammar = derive_grammar(tsp6, budget=6)
-        for name in grammar.nonterminals():
-            assert len(grammar.alternatives(name)) >= 1
+    def test_every_nonterminal_has_alternatives(self, tsp6, no_constraint_model):
+        for model in (tsp6, no_constraint_model):
+            grammar = derive_grammar(model, budget=6)
+            defined = set(grammar.nonterminals())
+            for name in defined:
+                assert len(grammar.alternatives(name)) >= 1
+                for symbols, _ in grammar.alternatives(name):
+                    assert {text for kind, text in symbols if kind == NT} <= defined
+
+    def test_no_constraint_drops_test_atom(self, no_constraint_model):
+        grammar = derive_grammar(no_constraint_model, budget=3)
+        assert "<test>" not in grammar.nonterminals()
+        assert "<cname>" not in grammar.nonterminals()
+        assert len(grammar.alternatives("<atom>")) == 2
 
 
 class TestMapGenome:
@@ -133,6 +155,34 @@ class TestMapGenome:
         permuted = Grammar(rules=permuted_rules, max_depth=grammar.max_depth)
         genome = [0] * 80
         assert render(map_genome(grammar, genome).program) != render(map_genome(permuted, genome).program)
+
+
+class TestMapperAgainstReference:
+    """``map_genome`` builds the same program as deriving text and parsing it."""
+
+    @staticmethod
+    def assert_same(grammar, genome, wrap_limit):
+        outcome = map_genome(grammar, genome, wrap_limit=wrap_limit)
+        assert (outcome.program, outcome.consumed, outcome.invalid) == text_map_genome(grammar, genome, wrap_limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome=short_genomes, wrap_limit=st.integers(0, 3))
+    def test_tsp6(self, genome, wrap_limit, tsp6):
+        self.assert_same(derive_grammar(tsp6, budget=6), genome, wrap_limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome=short_genomes, wrap_limit=st.integers(0, 3))
+    def test_without_structural_circuit(self, genome, wrap_limit, no_structural_model):
+        self.assert_same(derive_grammar(no_structural_model, budget=3), genome, wrap_limit)
+
+    def test_deep_conjunction_maps_without_recursion(self, tsp6):
+        # <atom> "," <conj> with a t0/t0 swap 2,000 times, then a last swap
+        genome = [0] + [1, 1, 0, 0, 0] * 2000 + [0, 1, 0, 0, 0]
+        grammar = derive_grammar(tsp6, budget=6)
+        outcome = map_genome(grammar, genome, wrap_limit=0, max_depth=100_000)
+        assert outcome.ok
+        assert outcome.consumed == len(genome)
+        assert len(outcome.program.body) == 2001
 
 
 class TestRenderGrammar:
