@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from noodle.grammar import (
     DEFAULT_GENOME_LENGTH,
@@ -90,22 +90,7 @@ class EvolutionConfig:
             raise ValueError(f"var_budget must be at least {MIN_VAR_BUDGET}")
 
     def to_json(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "tournament_size": self.tournament_size,
-            "crossover_rate": self.crossover_rate,
-            "mutation_rate": self.mutation_rate,
-            "elitism": self.elitism,
-            "sample_count": self.sample_count,
-            "inspection_cap": self.inspection_cap,
-            "seed": self.seed,
-            "genome_length": self.genome_length,
-            "wrap_limit": self.wrap_limit,
-            "max_depth": self.max_depth,
-            "var_budget": self.var_budget,
-            "fuel": self.fuel,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, variables_used
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, variables_used, walk
 from noodle.model import Model
 
 DEFAULT_VAR_BUDGET = 6
@@ -76,13 +76,7 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
 
     visit_conj(program.body)
 
-    def has_effect(atoms) -> bool:
-        return any(
-            isinstance(a, (Swap, Redirect)) or (isinstance(a, Iterate) and has_effect(a.body))
-            for a in atoms
-        )
-
-    if not has_effect(program.body):
+    if not any(isinstance(a, (Swap, Redirect)) for a in walk(program.body)):
         errors.append(Diagnostic("NO_EFFECT", "program contains no swap_values or redirect", -1))
 
     over_budget = sorted(v for v in variables_used(program) if v >= budget)

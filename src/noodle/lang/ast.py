@@ -65,33 +65,23 @@ def render(program: Program) -> str:
     return ", ".join(_render_atom(a) for a in program.body)
 
 
+def walk(atoms):
+    """Every atom of ``atoms`` in pre-order, iterate bodies included."""
+    for atom in atoms:
+        yield atom
+        if isinstance(atom, Iterate):
+            yield from walk(atom.body)
+
+
 def atom_count(program: Program) -> int:
     """Number of atom nodes, counting iterate bodies recursively."""
-
-    def count(atoms) -> int:
-        total = 0
-        for a in atoms:
-            total += 1
-            if isinstance(a, Iterate):
-                total += count(a.body)
-        return total
-
-    return count(program.body)
+    return sum(1 for _ in walk(program.body))
 
 
 def variables_used(program: Program) -> set[int]:
     """Indices of every program variable occurring in the program."""
-    found: set[int] = set()
-
-    def visit(atoms) -> None:
-        for a in atoms:
-            if isinstance(a, ConstraintAtom):
-                found.update((a.a.index, a.b.index))
-            elif isinstance(a, (Swap, Redirect)):
-                found.update((a.a.index, a.b.index))
-            else:
-                found.update((a.x.index, a.y.index, a.start.index))
-                visit(a.body)
-
-    visit(program.body)
-    return found
+    return {
+        v.index
+        for atom in walk(program.body)
+        for v in ((atom.x, atom.y, atom.start) if isinstance(atom, Iterate) else (atom.a, atom.b))
+    }

@@ -32,6 +32,10 @@ Bindings grow monotonically along a branch except for iterate headers,
 which rebind x and y at every step.  Effects in one branch never leak
 into a sibling: state is copied before every write.
 
+A conjunction runs as one depth-first loop over a stack holding an
+outcome iterator per matched atom, so its length never deepens the
+Python stack; only iterate nesting does, and the parser bounds that.
+
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
 interpreter terminates even with unlimited fuel.  Fuel merely bounds the
@@ -60,45 +64,8 @@ class NeighborSet:
         return len(self.assignments)
 
 
-class _OutOfFuel(Exception):
+class _Truncated(Exception):
     pass
-
-
-class _CapReached(Exception):
-    pass
-
-
-class _Context:
-    """Per-call lookup tables; the model itself is never mutated."""
-
-    def __init__(self, model: Model, reverse_pairs: bool):
-        self.reverse_pairs = reverse_pairs
-        self.domains = [v.domain for v in model.variables]
-        names = {name for c in model.constraints for name in c.names}
-        self.by_name = {name: model.constraints_by_name(name) for name in names}
-        self.walk_pos = model.walk_positions()
-        self.walk_scope = model.walk_scope()
-        self.structural = model.structural_constraint()
-        self.chain = dict(zip(self.walk_scope, self.walk_scope[1:]))
-
-    def relation(self, name: str, state: list[int]) -> list[tuple[int, int]]:
-        constraints = self.by_name.get(name, ())
-        if len(constraints) == 1:  # one constraint's pairs never repeat
-            pairs = constraints[0].pairs(state)
-        else:
-            pairs = {p for c in constraints for p in c.pairs(state)}
-        return sorted(pairs, reverse=self.reverse_pairs)
-
-    def walk_successors(self, state: list[int]) -> dict[int, int]:
-        """Snapshot successor map for iterate.
-
-        Built from the structural circuit (a function of the scope, so
-        every entry is unique) or from the canonical variable chain; a
-        variable outside the map is a missing successor and stops walks.
-        """
-        if self.structural is None:
-            return self.chain
-        return dict(self.structural.pairs(state))
 
 
 def neighbors(
@@ -116,35 +83,59 @@ def neighbors(
     their branches.  ``start`` is never mutated.
     """
     model.validate_assignment(start)
-    ctx = _Context(model, _reverse_pairs)
+    domains = [v.domain for v in model.variables]
+    names = {name for c in model.constraints for name in c.names}
+    by_name = {name: model.constraints_by_name(name) for name in names}
+    walk_pos = model.walk_positions()
+    walk_scope = model.walk_scope()
+    structural = model.structural_constraint()
+    chain = dict(zip(walk_scope, walk_scope[1:]))
     start_values = tuple(start.values)
     results: set[tuple[int, ...]] = set()
-    truncated = False
-    remaining = [fuel]
+    remaining = fuel
 
     def spend() -> None:
-        if remaining[0] <= 0:
-            raise _OutOfFuel
-        remaining[0] -= 1
+        nonlocal remaining
+        if remaining <= 0:
+            raise _Truncated
+        remaining -= 1
 
-    def eval_seq(atoms, idx, env, state):
-        if idx == len(atoms):
-            yield env, state
-            return
-        for env2, state2 in eval_atom(atoms[idx], env, state):
-            yield from eval_seq(atoms, idx + 1, env2, state2)
+    def relation(name: str, state: list[int]) -> list[tuple[int, int]]:
+        constraints = by_name.get(name, ())
+        if len(constraints) == 1:  # one constraint's pairs never repeat
+            pairs = constraints[0].pairs(state)
+        else:
+            pairs = {p for c in constraints for p in c.pairs(state)}
+        return sorted(pairs, reverse=_reverse_pairs)
+
+    def run(atoms, env, state):
+        """Outcomes of a conjunction, depth-first: one iterator per matched atom."""
+        last = len(atoms)
+        stack = [eval_atom(atoms[0], env, state)]
+        depth = 1  # len(stack), kept in a local: this loop is the hot path
+        while depth:
+            for env2, state2 in stack[-1]:
+                if depth == last:
+                    yield env2, state2
+                else:
+                    stack.append(eval_atom(atoms[depth], env2, state2))
+                    depth += 1
+                    break
+            else:
+                stack.pop()
+                depth -= 1
 
     def eval_atom(atom, env, state):
         spend()
         if isinstance(atom, ConstraintAtom):
-            relation = ctx.relation(atom.name, state)
+            pairs = relation(atom.name, state)
             ai, bi = atom.a.index, atom.b.index
             bound_a, bound_b = env.get(ai), env.get(bi)
             if bound_a is not None and bound_b is not None:
-                if (bound_a, bound_b) in relation:
+                if (bound_a, bound_b) in pairs:
                     yield env, state
                 return
-            for u, v in relation:
+            for u, v in pairs:
                 if bound_a is not None and u != bound_a:
                     continue
                 if bound_b is not None and v != bound_b:
@@ -162,7 +153,7 @@ def neighbors(
             if a is None or b is None:
                 return
             va, vb = state[a - 1], state[b - 1]
-            if vb not in ctx.domains[a - 1] or va not in ctx.domains[b - 1]:
+            if vb not in domains[a - 1] or va not in domains[b - 1]:
                 return
             state2 = list(state)
             state2[a - 1], state2[b - 1] = vb, va
@@ -173,31 +164,32 @@ def neighbors(
             a, b = env.get(atom.a.index), env.get(atom.b.index)
             if a is None or b is None:
                 return
-            position = ctx.walk_pos.get(b)
-            if position is None or position not in ctx.domains[a - 1]:
+            position = walk_pos.get(b)
+            if position is None or position not in domains[a - 1]:
                 return
             state2 = list(state)
             state2[a - 1] = position
             yield env, state2
             return
 
-        # Iterate
+        # Iterate.  The successor snapshot is a function of the state at
+        # entry: the structural circuit's pairs (unique per variable) or
+        # the canonical chain; a node outside it has no successor.
+        succ = chain if structural is None else dict(structural.pairs(state))
         start_binding = env.get(atom.start.index)
         if start_binding is None:
-            candidates = ctx.walk_scope
+            candidates = walk_scope
         else:
             candidates = (start_binding,)
         for start_vid in candidates:
-            succ = ctx.walk_successors(state)
-            env_walk = env
+            walk_env = env
             if start_binding is None:
-                env_walk = dict(env)
-                env_walk[atom.start.index] = start_vid
+                walk_env = dict(env)
+                walk_env[atom.start.index] = start_vid
             prefixes = []
             cur = start_vid
             walk_state = state
-            walk_env = env_walk
-            for _ in range(len(ctx.walk_scope)):
+            for _ in range(len(walk_scope)):
                 nxt = succ.get(cur)
                 if nxt is None or nxt == start_vid:
                     break
@@ -207,9 +199,7 @@ def neighbors(
                 env_step = dict(walk_env)
                 env_step[atom.x.index] = cur
                 env_step[atom.y.index] = nxt
-                body_run = eval_seq(atom.body, 0, env_step, walk_state)
-                outcome = next(body_run, None)
-                body_run.close()
+                outcome = next(run(atom.body, env_step, walk_state), None)
                 if outcome is None:
                     break
                 walk_env, walk_state = outcome
@@ -217,21 +207,17 @@ def neighbors(
                 cur = nxt
             yield from prefixes
 
-    def explore():
-        for _, state in eval_seq(program.body, 0, {}, list(start_values)):
+    try:
+        for _, state in run(program.body, {}, list(start_values)):
             candidate = tuple(state)
             if candidate == start_values or candidate in results:
                 continue
             if len(results) >= cap:
-                raise _CapReached
+                raise _Truncated
             results.add(candidate)
-
-    try:
-        explore()
-    except _OutOfFuel:
-        truncated = True
-    except _CapReached:
+        truncated = False
+    except _Truncated:
         truncated = True
 
     assignments = tuple(Assignment(values=v) for v in sorted(results))
-    return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining[0])
+    return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining)

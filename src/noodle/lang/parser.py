@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
 
 ATOM_HEADS = ("constraint", "swap_values", "redirect", "iterate")
+# Rendering, analysis and execution recurse once per iterate level;
+# evolved programs nest about 4 deep under the default depth limit.
+MAX_ITERATE_NESTING = 100
 
 _VAR_RE = re.compile(r"t\d+\Z")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -68,6 +71,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     @property
     def current(self) -> _Token:
@@ -147,6 +151,8 @@ class _Parser:
             self.expect(")", ctx)
             return Swap(a=a, b=b) if head == "swap_values" else Redirect(a=a, b=b)
         # iterate
+        if self.nesting == MAX_ITERATE_NESTING:
+            self.error(f"iterate nested more than {MAX_ITERATE_NESTING} deep", tok)
         x = self.parse_var(ctx)
         self.expect("-", ctx)
         y = self.parse_var(ctx)
@@ -154,7 +160,9 @@ class _Parser:
         start = self.parse_var(ctx)
         self.expect(",", ctx)
         self.expect("(", "opening iterate body")
+        self.nesting += 1
         body = self.parse_conj()
+        self.nesting -= 1
         self.expect(")", "closing iterate body")
         self.expect(")", ctx)
         return Iterate(x=x, y=y, start=start, body=body)

@@ -12,6 +12,11 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def nested_iterates(depth: int) -> str:
+    """NDL text with ``depth`` iterates nested around one swap."""
+    return "iterate(t0 - t1, t2, (" * depth + "swap_values(t0, t1)" + "))" * depth
+
+
 @pytest.fixture(scope="session")
 def tsp4():
     return load_model(fixture_text("tsp4.json"))

@@ -4,13 +4,19 @@ Everything here works on plain successor arrays or cost matrices and
 never calls into the package's interpreter or search code, so the tests
 comparing the two stay two-sided.  The reference genome mapper reads only
 the grammar's symbols and builds its program through NDL text and the
-parser, never through the alternatives' AST constructors.
+parser, never through the alternatives' AST constructors.  The reference
+interpreter is the recursive generator chain the package's flat-loop
+interpreter replaced; it shares only the model's constraint definitions
+(``ConstraintDecl.pairs``, walk positions) and the result type.
 """
 
 from collections import deque
 from itertools import permutations
 
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap
+from noodle.lang.interp import DEFAULT_CAP, DEFAULT_FUEL, NeighborSet
 from noodle.lang.parser import parse
+from noodle.model import Assignment, Model
 
 
 def successor_cycles(values: tuple[int, ...]) -> int | None:
@@ -159,3 +165,180 @@ def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int | None 
         reads += 1
         work.extendleft((symbol, depth + 1) for symbol in reversed(chosen))
     return parse("".join(output)), reads, None
+
+
+class _OutOfFuel(Exception):
+    pass
+
+
+class _CapReached(Exception):
+    pass
+
+
+class _Context:
+    """Per-call lookup tables; the model itself is never mutated."""
+
+    def __init__(self, model: Model, reverse_pairs: bool):
+        self.reverse_pairs = reverse_pairs
+        self.domains = [v.domain for v in model.variables]
+        names = {name for c in model.constraints for name in c.names}
+        self.by_name = {name: model.constraints_by_name(name) for name in names}
+        self.walk_pos = model.walk_positions()
+        self.walk_scope = model.walk_scope()
+        self.structural = model.structural_constraint()
+        self.chain = dict(zip(self.walk_scope, self.walk_scope[1:]))
+
+    def relation(self, name: str, state: list[int]) -> list[tuple[int, int]]:
+        constraints = self.by_name.get(name, ())
+        if len(constraints) == 1:  # one constraint's pairs never repeat
+            pairs = constraints[0].pairs(state)
+        else:
+            pairs = {p for c in constraints for p in c.pairs(state)}
+        return sorted(pairs, reverse=self.reverse_pairs)
+
+    def walk_successors(self, state: list[int]) -> dict[int, int]:
+        """Snapshot successor map for iterate.
+
+        Built from the structural circuit (a function of the scope, so
+        every entry is unique) or from the canonical variable chain; a
+        variable outside the map is a missing successor and stops walks.
+        """
+        if self.structural is None:
+            return self.chain
+        return dict(self.structural.pairs(state))
+
+
+def reference_neighbors(
+    program: Program,
+    model: Model,
+    start: Assignment,
+    fuel: int = DEFAULT_FUEL,
+    cap: int = DEFAULT_CAP,
+    _reverse_pairs: bool = False,
+) -> NeighborSet:
+    """Materialize the neighborhood of ``start`` under ``program``.
+
+    Callers are expected to have run the analyzer first; programs that
+    slipped past it (unbound effect operands at run time) simply fail
+    their branches.  ``start`` is never mutated.
+    """
+    model.validate_assignment(start)
+    ctx = _Context(model, _reverse_pairs)
+    start_values = tuple(start.values)
+    results: set[tuple[int, ...]] = set()
+    truncated = False
+    remaining = [fuel]
+
+    def spend() -> None:
+        if remaining[0] <= 0:
+            raise _OutOfFuel
+        remaining[0] -= 1
+
+    def eval_seq(atoms, idx, env, state):
+        if idx == len(atoms):
+            yield env, state
+            return
+        for env2, state2 in eval_atom(atoms[idx], env, state):
+            yield from eval_seq(atoms, idx + 1, env2, state2)
+
+    def eval_atom(atom, env, state):
+        spend()
+        if isinstance(atom, ConstraintAtom):
+            relation = ctx.relation(atom.name, state)
+            ai, bi = atom.a.index, atom.b.index
+            bound_a, bound_b = env.get(ai), env.get(bi)
+            if bound_a is not None and bound_b is not None:
+                if (bound_a, bound_b) in relation:
+                    yield env, state
+                return
+            for u, v in relation:
+                if bound_a is not None and u != bound_a:
+                    continue
+                if bound_b is not None and v != bound_b:
+                    continue
+                if ai == bi and u != v:
+                    continue
+                env2 = dict(env)
+                env2[ai] = u
+                env2[bi] = v
+                yield env2, state
+            return
+
+        if isinstance(atom, Swap):
+            a, b = env.get(atom.a.index), env.get(atom.b.index)
+            if a is None or b is None:
+                return
+            va, vb = state[a - 1], state[b - 1]
+            if vb not in ctx.domains[a - 1] or va not in ctx.domains[b - 1]:
+                return
+            state2 = list(state)
+            state2[a - 1], state2[b - 1] = vb, va
+            yield env, state2
+            return
+
+        if isinstance(atom, Redirect):
+            a, b = env.get(atom.a.index), env.get(atom.b.index)
+            if a is None or b is None:
+                return
+            position = ctx.walk_pos.get(b)
+            if position is None or position not in ctx.domains[a - 1]:
+                return
+            state2 = list(state)
+            state2[a - 1] = position
+            yield env, state2
+            return
+
+        # Iterate
+        start_binding = env.get(atom.start.index)
+        if start_binding is None:
+            candidates = ctx.walk_scope
+        else:
+            candidates = (start_binding,)
+        for start_vid in candidates:
+            succ = ctx.walk_successors(state)
+            env_walk = env
+            if start_binding is None:
+                env_walk = dict(env)
+                env_walk[atom.start.index] = start_vid
+            prefixes = []
+            cur = start_vid
+            walk_state = state
+            walk_env = env_walk
+            for _ in range(len(ctx.walk_scope)):
+                nxt = succ.get(cur)
+                if nxt is None or nxt == start_vid:
+                    break
+                if atom.x.index == atom.y.index and cur != nxt:
+                    break
+                spend()
+                env_step = dict(walk_env)
+                env_step[atom.x.index] = cur
+                env_step[atom.y.index] = nxt
+                body_run = eval_seq(atom.body, 0, env_step, walk_state)
+                outcome = next(body_run, None)
+                body_run.close()
+                if outcome is None:
+                    break
+                walk_env, walk_state = outcome
+                prefixes.append((walk_env, walk_state))
+                cur = nxt
+            yield from prefixes
+
+    def explore():
+        for _, state in eval_seq(program.body, 0, {}, list(start_values)):
+            candidate = tuple(state)
+            if candidate == start_values or candidate in results:
+                continue
+            if len(results) >= cap:
+                raise _CapReached
+            results.add(candidate)
+
+    try:
+        explore()
+    except _OutOfFuel:
+        truncated = True
+    except _CapReached:
+        truncated = True
+
+    assignments = tuple(Assignment(values=v) for v in sorted(results))
+    return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining[0])

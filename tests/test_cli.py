@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tests.conftest import FIXTURES, ROOT
+from tests.conftest import FIXTURES, ROOT, nested_iterates
 
 
 def run_cli(*args, env_extra=None):
@@ -63,6 +63,18 @@ class TestParse:
         assert len(diagnostic_lines) == 1
         assert ":2:1:" in diagnostic_lines[0]
 
+    def test_iterate_nesting_past_limit_exits_two(self, tmp_path):
+        from noodle.lang.parser import MAX_ITERATE_NESTING
+
+        deep = tmp_path / "deep.ndl"
+        deep.write_text(nested_iterates(MAX_ITERATE_NESTING + 1))
+        proc = run_cli("parse", str(deep))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert "nested more than" in proc.stderr
+
 
 class TestGrammar:
     def test_prints_bnf(self):
@@ -93,6 +105,18 @@ class TestNeighbors:
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
         assert len(lines) == len(expected) == 3
         assert [tuple(entry["values"]) for entry in lines] == [a.values for a in expected.assignments]
+
+    def test_long_conjunction_exits_zero(self, tmp_path):
+        op = tmp_path / "long.ndl"
+        op.write_text(", ".join(["constraint(circuit, t0, t1)"] * 1500 + ["swap_values(t0, t1)"]))
+        proc = run_cli(
+            "neighbors",
+            "--model", fixture("circuit3.json"),
+            "--assignment", fixture("tour3.json"),
+            "--op", str(op),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 3
 
     def test_strict_truncation_exits_one(self):
         proc = run_cli(

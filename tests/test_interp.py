@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from noodle.grammar import derive_grammar, map_genome
 from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.interp import neighbors
-from noodle.lang.parser import parse
+from noodle.lang.parser import MAX_ITERATE_NESTING, parse
 from noodle.model import Assignment, load_model, seed_assignment
 
-from tests.oracles import is_tour
+from tests.conftest import nested_iterates
+from tests.oracles import is_tour, reference_neighbors
 
 
 def values_of(result):
@@ -45,6 +46,11 @@ class TestConstraintAndSwap:
         start = Assignment(values=(2, 3, 4, 5, 6, 1))
         result = neighbors(single_swap, tsp6, start)
         assert len(result) == 0
+
+    def test_long_conjunction_runs_without_recursion(self, circuit3):
+        text = ", ".join(["constraint(circuit, t0, t1)"] * 1500 + ["swap_values(t0, t1)"])
+        result = neighbors(parse(text), circuit3, Assignment(values=(2, 3, 1)))
+        assert values_of(result) == [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
 
     def test_bound_pair_acts_as_test(self, circuit3):
         program = parse(
@@ -112,6 +118,11 @@ class TestIterate:
         result = neighbors(program, tsp6, Assignment(values=(2, 3, 4, 5, 6, 1)))
         assert len(result) == 0
 
+    def test_nesting_limit_runs(self, circuit3):
+        program = parse(nested_iterates(MAX_ITERATE_NESTING))
+        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)), fuel=2_000)
+        assert result.truncated
+
     def test_unbound_start_branches_over_scope(self, circuit3):
         bound = parse("constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2)))")
         free = parse("iterate(t2 - t3, t5, (redirect(t3, t2)))")
@@ -168,3 +179,39 @@ class TestSafetyProperties:
         start = Assignment(values=(2, 3, 4, 5, 6, 1))
         result = neighbors(two_opt, tsp6, start)
         assert all(is_tour(a.values) for a in result.assignments)
+
+
+class TestAgainstReference:
+    """Results, truncation and the exact stop step match the recursive reference."""
+
+    @staticmethod
+    def assert_same(model, genome_seed, sample_seed, fuel, cap):
+        # random 80-codon genomes, as evolution draws them, until one maps
+        # to a program that passes the analyzer
+        grammar = derive_grammar(model, budget=6)
+        rng = random.Random(genome_seed)
+        while True:
+            outcome = map_genome(grammar, [rng.randrange(256) for _ in range(80)])
+            if outcome.ok and analyze(outcome.program, model).ok:
+                break
+        start = seed_assignment(model, sample_seed)
+        ours = neighbors(outcome.program, model, start, fuel=fuel, cap=cap)
+        ref = reference_neighbors(outcome.program, model, start, fuel=fuel, cap=cap)
+        assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
+    def test_tsp6(self, genome_seed, sample_seed, fuel, cap, tsp6):
+        self.assert_same(tsp6, genome_seed, sample_seed, fuel, cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
+    def test_not_equal_triangle(self, genome_seed, sample_seed, fuel, cap, triangle):
+        self.assert_same(triangle, genome_seed, sample_seed, fuel, cap)
+
+    @pytest.mark.parametrize("fuel", [500, 1_000_000])
+    def test_two_opt_reversed(self, fuel, tsp6, two_opt):
+        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        ours = neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
+        ref = reference_neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
+        assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var, render
-from noodle.lang.parser import ParseError, parse
+from noodle.lang.parser import MAX_ITERATE_NESTING, ParseError, parse
 
-from tests.conftest import fixture_text
+from tests.conftest import fixture_text, nested_iterates
 
 LEGACY_TEXT = (
     "constraint(all_diff_next,t0,t1), iterate(t3 - t4, t0, "
@@ -70,6 +70,15 @@ class TestParse:
             parse("swap_values(t0, t1),\nshuffle(t2)")
         assert err.value.line == 2
         assert err.value.column == 1
+
+    def test_iterate_nesting_limit(self):
+        program = parse(nested_iterates(MAX_ITERATE_NESTING))
+        assert render(program) == nested_iterates(MAX_ITERATE_NESTING)
+        assert parse(render(program)) == program
+        with pytest.raises(ParseError, match="nested more than") as err:
+            parse(nested_iterates(MAX_ITERATE_NESTING + 1))
+        # the position of the first iterate past the limit
+        assert (err.value.line, err.value.column) == (1, MAX_ITERATE_NESTING * len("iterate(t0 - t1, t2, (") + 1)
 
     def test_conjunction_with_prolog_style_separator(self):
         a = parse("swap_values(t0, t1) /\\ swap_values(t1, t2)")
