@@ -43,6 +43,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_USAGE) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", EXIT_USAGE) from exc
 
 
 def _load_model(path: str):
@@ -56,7 +58,7 @@ def _load_program(path: str):
     try:
         return parse(_read_file(path))
     except ParseError as exc:
-        raise CliError(f"{path}:{exc.line}:{exc.column}: {exc.args[0].split(': ', 1)[-1]}", EXIT_USAGE) from exc
+        raise CliError(f"{path}:{exc.line}:{exc.column}: {exc.message}", EXIT_USAGE) from exc
 
 
 def _thread_cap() -> int:
@@ -76,13 +78,23 @@ def _thread_cap() -> int:
     return value
 
 
+# the flag that sets each config field (or grammar budget) a range error names
+_FLAGS = {
+    "population_size": "--pop", "generations": "--gens", "sample_count": "--samples",
+    "genome_length": "--genome-length", "var_budget": "--budget", "budget": "--budget",
+    "inspection_cap": "--cap", "neighbor_cap": "--cap", "restarts": "--restarts",
+    "max_steps": "--max-steps", "fuel": "--fuel",
+}
+
+
 @contextmanager
 def _usage_errors():
-    """Report a ``ValueError`` from building a config or a grammar as a usage error."""
+    """Report a ``ValueError`` from building a config or a grammar as a usage error, naming the flag."""
     try:
         yield
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+        name, _, rest = str(exc).partition(" ")
+        raise CliError(f"{_FLAGS.get(name, name)} {rest}", EXIT_USAGE) from exc
 
 
 def _emit(data) -> None:

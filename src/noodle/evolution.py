@@ -219,7 +219,7 @@ def sample_seeds_for(config: EvolutionConfig) -> tuple[int, ...]:
 def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
     """Run the full synthesis loop; bit-reproducible per (model, config)."""
     started = time.perf_counter()
-    grammar = derive_grammar(model, budget=config.var_budget, max_depth=config.max_depth)
+    grammar = derive_grammar(model, budget=config.var_budget)
     seeds = sample_seeds_for(config)
     samples = [seed_assignment(model, s) for s in seeds]
 

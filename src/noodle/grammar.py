@@ -36,7 +36,6 @@ Alternative = tuple[tuple[Symbol, ...], Any]
 class Grammar:
     rules: tuple[tuple[str, tuple[Alternative, ...]], ...]
     start: str = "<program>"
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def alternatives(self, name: str) -> tuple[Alternative, ...]:
         return dict(self.rules)[name]
@@ -58,16 +57,15 @@ class MappingOutcome:
         return self.invalid is None
 
 
-def derive_grammar(model: Model, budget: int = 6, max_depth: int = DEFAULT_MAX_DEPTH) -> Grammar:
+def derive_grammar(model: Model, budget: int = 6) -> Grammar:
     """Derive the operator grammar for a model.
 
-    ``budget`` is the number of program variables offered (t0..t{budget-1});
-    ``max_depth`` is recorded as the grammar's default derivation depth
-    limit.  Binding discipline is deliberately not encoded here; the
-    static analyzer rejects ill-bound programs after mapping.
+    ``budget`` is the number of program variables offered (t0..t{budget-1}).
+    Binding discipline is deliberately not encoded here; the static
+    analyzer rejects ill-bound programs after mapping.
     """
     if budget < MIN_VAR_BUDGET:
-        raise ValueError(f"variable budget must be at least {MIN_VAR_BUDGET}")
+        raise ValueError(f"budget must be at least {MIN_VAR_BUDGET}")
 
     def nt(name: str) -> Symbol:
         return (NT, name)
@@ -98,14 +96,14 @@ def derive_grammar(model: Model, budget: int = 6, max_depth: int = DEFAULT_MAX_D
     )
     if not names:
         rules = tuple(rule for rule in rules if rule[0] not in ("<test>", "<cname>"))
-    return Grammar(rules=rules, max_depth=max_depth)
+    return Grammar(rules=rules)
 
 
 def map_genome(
     grammar: Grammar,
     genome: Sequence[int],
     wrap_limit: int = DEFAULT_WRAP_LIMIT,
-    max_depth: int | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> MappingOutcome:
     """Leftmost grammatical-evolution mapping, one codon per expansion.
 
@@ -116,8 +114,6 @@ def map_genome(
     """
     if not genome:
         raise ValueError("genome must be non-empty")
-    if max_depth is None:
-        max_depth = grammar.max_depth
     rules = dict(grammar.rules)
     budget = len(genome) * (wrap_limit + 1)
     reads = 0

@@ -40,6 +40,10 @@ class Iterate:
     start: Var
     body: tuple["Atom", ...]
 
+    def __post_init__(self):
+        if not self.body:
+            raise ValueError("iterate body must hold at least one atom")
+
 
 Atom = Union[ConstraintAtom, Swap, Redirect, Iterate]
 
@@ -47,6 +51,10 @@ Atom = Union[ConstraintAtom, Swap, Redirect, Iterate]
 @dataclass(frozen=True)
 class Program:
     body: tuple[Atom, ...]
+
+    def __post_init__(self):
+        if not self.body:
+            raise ValueError("program must hold at least one atom")
 
 
 def _render_atom(atom: Atom) -> str:

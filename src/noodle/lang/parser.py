@@ -1,173 +1,125 @@
-"""Recursive-descent parser for NDL operator text."""
+"""Parser for NDL operator text.
+
+One regular-expression scan makes ``(kind, text, offset)`` tokens, reads
+``/\\`` as ``,`` and fails on the first character that starts no token.
+``FORMS`` gives each atom head its AST class and argument slots, and one
+loop over the slots parses every atom.  Line and column are computed from
+an offset only when an error is raised.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
 
-ATOM_HEADS = ("constraint", "swap_values", "redirect", "iterate")
+# atom head -> (AST class, slots); "name" and "var" slots read one
+# identifier, "body" a parenthesized conjunction, any other slot is itself
+FORMS = {
+    "constraint": (ConstraintAtom, ("name", ",", "var", ",", "var")),
+    "swap_values": (Swap, ("var", ",", "var")),
+    "redirect": (Redirect, ("var", ",", "var")),
+    "iterate": (Iterate, ("var", "-", "var", ",", "var", ",", "body")),
+}
 # Rendering, analysis and execution recurse once per iterate level;
 # evolved programs nest about 4 deep under the default depth limit.
 MAX_ITERATE_NESTING = 100
 
 _VAR_RE = re.compile(r"t\d+\Z")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# whitespace is an alternative of its own: a \s* prefix on every token
+# backtracks quadratically over a long run of blanks
+_TOKEN_RE = re.compile(rf"(?P<space>\s+)|(?P<punct>/\\|[(),-])|(?P<ident>{IDENT_RE.pattern})|(?P<other>.)", re.DOTALL)
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
-        self.line = line
-        self.column = column
+        self.message, self.line, self.column = message, line, column
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, PUNCT, EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if text.startswith("/\\", i):
-            tokens.append(_Token("PUNCT", ",", line, column))
-            i += 2
-            column += 2
-            continue
-        if ch in "(),-":
-            tokens.append(_Token("PUNCT", ch, line, column))
-            i += 1
-            column += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), line, column))
-            column += len(m.group())
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("EOF", "", line, column))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = self.nesting = 0
+        self.tokens = []
+        for match in _TOKEN_RE.finditer(text):
+            kind, token = match.lastgroup, match.group()
+            if kind == "other":
+                self.error(f"unexpected character {token!r}", match.start())
+            if kind != "space":
+                self.tokens.append((kind, "," if token == "/\\" else token, match.start()))
+        self.tokens.append(("eof", "", len(text)))
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int | None = None):
+        offset = self.tokens[self.pos][2] if offset is None else offset
+        line = self.text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def error(self, message: str, token: _Token | None = None):
-        tok = token or self.current
-        raise ParseError(message, tok.line, tok.column)
-
-    def advance(self) -> _Token:
-        tok = self.current
+    def expect(self, text: str, context: str) -> None:
+        kind, found, _ = self.tokens[self.pos]
+        if found != text:
+            if kind == "eof":
+                self.error(f"unexpected end of input, expected {text!r} {context}")
+            if {text, found} == {",", ")"}:  # one argument short or over
+                self.error(f"too {'few' if text == ',' else 'many'} arguments {context}")
+            self.error(f"expected {text!r} {context}, found {found!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, text: str, context: str) -> _Token:
-        tok = self.current
-        if tok.kind == "EOF":
-            self.error(f"unexpected end of input, expected {text!r} {context}")
-        if tok.text != text:
-            if text == "," and tok.text == ")":
-                self.error(f"too few arguments {context}")
-            if text == ")" and tok.text == ",":
-                self.error(f"too many arguments {context}")
-            self.error(f"expected {text!r} {context}, found {tok.text!r}")
-        return self.advance()
-
-    def parse_program(self) -> Program:
-        if self.current.kind == "EOF":
-            self.error("empty program")
-        body = self.parse_conj()
-        if self.current.kind != "EOF":
-            self.error(f"unexpected trailing input {self.current.text!r}")
-        return Program(body=body)
 
     def parse_conj(self) -> tuple:
         atoms = [self.parse_atom()]
-        while self.current.text == ",":
-            self.advance()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             atoms.append(self.parse_atom())
         return tuple(atoms)
 
-    def parse_var(self, context: str) -> Var:
-        tok = self.current
-        if tok.kind != "IDENT" or not _VAR_RE.match(tok.text):
-            self.error(f"expected a program variable (t0, t1, ...) {context}, found {tok.text!r}")
-        self.advance()
-        return Var(index=int(tok.text[1:]))
-
-    def parse_name(self, context: str) -> str:
-        tok = self.current
-        if tok.kind != "IDENT":
-            self.error(f"expected a constraint name {context}, found {tok.text!r}")
-        self.advance()
-        return tok.text
-
     def parse_atom(self):
-        tok = self.current
-        if tok.kind != "IDENT":
-            self.error(f"expected an atom, found {tok.text!r}")
-        if tok.text not in ATOM_HEADS:
-            self.error(f"unknown atom head {tok.text!r}")
-        head = self.advance().text
+        kind, head, offset = self.tokens[self.pos]
+        if kind != "ident":
+            self.error(f"expected an atom, found {head!r}")
+        if head not in FORMS:
+            self.error(f"unknown atom head {head!r}")
+        self.pos += 1
+        build, slots = FORMS[head]
         ctx = f"in {head}"
         self.expect("(", ctx)
-        if head == "constraint":
-            name = self.parse_name(ctx)
-            self.expect(",", ctx)
-            a = self.parse_var(ctx)
-            self.expect(",", ctx)
-            b = self.parse_var(ctx)
-            self.expect(")", ctx)
-            return ConstraintAtom(name=name, a=a, b=b)
-        if head in ("swap_values", "redirect"):
-            a = self.parse_var(ctx)
-            self.expect(",", ctx)
-            b = self.parse_var(ctx)
-            self.expect(")", ctx)
-            return Swap(a=a, b=b) if head == "swap_values" else Redirect(a=a, b=b)
-        # iterate
-        if self.nesting == MAX_ITERATE_NESTING:
-            self.error(f"iterate nested more than {MAX_ITERATE_NESTING} deep", tok)
-        x = self.parse_var(ctx)
-        self.expect("-", ctx)
-        y = self.parse_var(ctx)
-        self.expect(",", ctx)
-        start = self.parse_var(ctx)
-        self.expect(",", ctx)
-        self.expect("(", "opening iterate body")
-        self.nesting += 1
-        body = self.parse_conj()
-        self.nesting -= 1
-        self.expect(")", "closing iterate body")
+        if build is Iterate and self.nesting == MAX_ITERATE_NESTING:
+            self.error(f"iterate nested more than {MAX_ITERATE_NESTING} deep", offset)
+        args = []
+        for slot in slots:
+            kind, text, _ = self.tokens[self.pos]
+            if slot == "body":
+                self.expect("(", "opening iterate body")
+                self.nesting += 1
+                args.append(self.parse_conj())
+                self.nesting -= 1
+                self.expect(")", "closing iterate body")
+            elif slot == "name":
+                if kind != "ident":
+                    self.error(f"expected a constraint name {ctx}, found {text!r}")
+                args.append(text)
+                self.pos += 1
+            elif slot == "var":
+                if kind != "ident" or not _VAR_RE.match(text):
+                    self.error(f"expected a program variable (t0, t1, ...) {ctx}, found {text!r}")
+                try:
+                    args.append(Var(index=int(text[1:])))
+                except ValueError:  # more digits than int() converts
+                    self.error(f"program variable index too long {ctx}")
+                self.pos += 1
+            else:
+                self.expect(slot, ctx)
         self.expect(")", ctx)
-        return Iterate(x=x, y=y, start=start, body=body)
+        return build(*args)
 
 
 def parse(text: str) -> Program:
     """Parse NDL text into a :class:`Program`; raises :class:`ParseError`."""
-    return _Parser(_tokenize(text)).parse_program()
+    parser = _Parser(text)
+    if parser.tokens[0][0] == "eof":
+        parser.error("empty program")
+    body = parser.parse_conj()
+    kind, found, _ = parser.tokens[parser.pos]
+    if kind != "eof":
+        parser.error(f"unexpected trailing input {found!r}")
+    return Program(body=body)

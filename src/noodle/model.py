@@ -200,16 +200,22 @@ def _parse_domain(spec, path: str) -> frozenset[int]:
     raise ModelError("domain must have 'lo'/'hi' or 'set'", path)
 
 
+def _decode(document):
+    """A JSON text decoded, or an already parsed document as it is."""
+    if not isinstance(document, (str, bytes)):
+        return document
+    try:
+        return json.loads(document)
+    except (ValueError, RecursionError) as exc:  # bad bytes and over-long integers are ValueErrors
+        raise ModelError(f"not valid JSON: {exc}") from exc
+
+
 def load_model(document) -> Model:
     """Build a validated :class:`Model` from a JSON text or parsed object.
 
     Errors carry a path into the document, e.g. ``constraints[1].kind``.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"not valid JSON: {exc}") from exc
+    document = _decode(document)
     _require(isinstance(document, dict), "model document must be an object", "")
 
     name = document.get("name", "")
@@ -326,11 +332,7 @@ def load_model(document) -> Model:
 
 def load_assignment(document) -> Assignment:
     """Parse an assignment document ``{"values": [...]}``."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"not valid JSON: {exc}") from exc
+    document = _decode(document)
     _require(isinstance(document, dict) and isinstance(document.get("values"), list), "assignment document must be {'values': [...]}", "values")
     values = document["values"]
     _require(all(_is_int(v) for v in values), "values must be integers", "values")

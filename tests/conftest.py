@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -15,6 +16,14 @@ def fixture_text(name: str) -> str:
 def nested_iterates(depth: int) -> str:
     """NDL text with ``depth`` iterates nested around one swap."""
     return "iterate(t0 - t1, t2, (" * depth + "swap_values(t0, t1)" + "))" * depth
+
+
+def overlong_digits() -> str:
+    """One digit more than ``int()`` converts from a string; skips where nothing limits it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts integer strings of any length here")
+    return "1" * (limit + 1)
 
 
 @pytest.fixture(scope="session")

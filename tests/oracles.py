@@ -4,18 +4,22 @@ Everything here works on plain successor arrays or cost matrices and
 never calls into the package's interpreter or search code, so the tests
 comparing the two stay two-sided.  The reference genome mapper reads only
 the grammar's symbols and builds its program through NDL text and the
-parser, never through the alternatives' AST constructors.  The reference
-interpreter is the recursive generator chain the package's flat-loop
-interpreter replaced; it shares only the model's constraint definitions
-(``ConstraintDecl.pairs``, walk positions) and the result type.
+reference parser, never through the alternatives' AST constructors.  The
+reference interpreter is the recursive generator chain the package's
+flat-loop interpreter replaced; it shares only the model's constraint
+definitions (``ConstraintDecl.pairs``, walk positions) and the result
+type.  The reference parser is the hand-written tokenizer and per-head
+recursive descent that the package's scan-and-table parser replaced.
 """
 
+import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import permutations
 
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap
+from noodle.grammar import DEFAULT_MAX_DEPTH
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
 from noodle.lang.interp import DEFAULT_CAP, DEFAULT_FUEL, NeighborSet
-from noodle.lang.parser import parse
 from noodle.model import Assignment, Model
 
 
@@ -138,15 +142,13 @@ def greedy_coloring(order: list[int], adjacency: dict[int, set[int]]) -> dict[in
     return colors
 
 
-def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int | None = None):
+def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int = DEFAULT_MAX_DEPTH):
     """Leftmost derivation that joins terminal strings, then parses the text.
 
     Returns ``(program, consumed, invalid)`` with the mapper's codon,
     wrap-limit and depth-limit rules.
     """
     rules = {lhs: [symbols for symbols, _ in alts] for lhs, alts in grammar.rules}
-    if max_depth is None:
-        max_depth = grammar.max_depth
     budget = len(genome) * (wrap_limit + 1)
     reads = 0
     output = []
@@ -164,7 +166,7 @@ def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int | None 
         chosen = alts[genome[reads % len(genome)] % len(alts)]
         reads += 1
         work.extendleft((symbol, depth + 1) for symbol in reversed(chosen))
-    return parse("".join(output)), reads, None
+    return reference_parse("".join(output)), reads, None
 
 
 class _OutOfFuel(Exception):
@@ -342,3 +344,168 @@ def reference_neighbors(
 
     assignments = tuple(Assignment(values=v) for v in sorted(results))
     return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining[0])
+
+ATOM_HEADS = ("constraint", "swap_values", "redirect", "iterate")
+# Rendering, analysis and execution recurse once per iterate level;
+# evolved programs nest about 4 deep under the default depth limit.
+MAX_ITERATE_NESTING = 100
+
+_VAR_RE = re.compile(r"t\d+\Z")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int, column: int):
+        self.line = line
+        self.column = column
+        super().__init__(f"{line}:{column}: {message}")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # IDENT, PUNCT, EOF
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        if text.startswith("/\\", i):
+            tokens.append(_Token("PUNCT", ",", line, column))
+            i += 2
+            column += 2
+            continue
+        if ch in "(),-":
+            tokens.append(_Token("PUNCT", ch, line, column))
+            i += 1
+            column += 1
+            continue
+        m = IDENT_RE.match(text, i)
+        if m:
+            tokens.append(_Token("IDENT", m.group(), line, column))
+            column += len(m.group())
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(_Token("EOF", "", line, column))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.nesting = 0
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def error(self, message: str, token: _Token | None = None):
+        tok = token or self.current
+        raise ParseError(message, tok.line, tok.column)
+
+    def advance(self) -> _Token:
+        tok = self.current
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str, context: str) -> _Token:
+        tok = self.current
+        if tok.kind == "EOF":
+            self.error(f"unexpected end of input, expected {text!r} {context}")
+        if tok.text != text:
+            if text == "," and tok.text == ")":
+                self.error(f"too few arguments {context}")
+            if text == ")" and tok.text == ",":
+                self.error(f"too many arguments {context}")
+            self.error(f"expected {text!r} {context}, found {tok.text!r}")
+        return self.advance()
+
+    def parse_program(self) -> Program:
+        if self.current.kind == "EOF":
+            self.error("empty program")
+        body = self.parse_conj()
+        if self.current.kind != "EOF":
+            self.error(f"unexpected trailing input {self.current.text!r}")
+        return Program(body=body)
+
+    def parse_conj(self) -> tuple:
+        atoms = [self.parse_atom()]
+        while self.current.text == ",":
+            self.advance()
+            atoms.append(self.parse_atom())
+        return tuple(atoms)
+
+    def parse_var(self, context: str) -> Var:
+        tok = self.current
+        if tok.kind != "IDENT" or not _VAR_RE.match(tok.text):
+            self.error(f"expected a program variable (t0, t1, ...) {context}, found {tok.text!r}")
+        self.advance()
+        return Var(index=int(tok.text[1:]))
+
+    def parse_name(self, context: str) -> str:
+        tok = self.current
+        if tok.kind != "IDENT":
+            self.error(f"expected a constraint name {context}, found {tok.text!r}")
+        self.advance()
+        return tok.text
+
+    def parse_atom(self):
+        tok = self.current
+        if tok.kind != "IDENT":
+            self.error(f"expected an atom, found {tok.text!r}")
+        if tok.text not in ATOM_HEADS:
+            self.error(f"unknown atom head {tok.text!r}")
+        head = self.advance().text
+        ctx = f"in {head}"
+        self.expect("(", ctx)
+        if head == "constraint":
+            name = self.parse_name(ctx)
+            self.expect(",", ctx)
+            a = self.parse_var(ctx)
+            self.expect(",", ctx)
+            b = self.parse_var(ctx)
+            self.expect(")", ctx)
+            return ConstraintAtom(name=name, a=a, b=b)
+        if head in ("swap_values", "redirect"):
+            a = self.parse_var(ctx)
+            self.expect(",", ctx)
+            b = self.parse_var(ctx)
+            self.expect(")", ctx)
+            return Swap(a=a, b=b) if head == "swap_values" else Redirect(a=a, b=b)
+        # iterate
+        if self.nesting == MAX_ITERATE_NESTING:
+            self.error(f"iterate nested more than {MAX_ITERATE_NESTING} deep", tok)
+        x = self.parse_var(ctx)
+        self.expect("-", ctx)
+        y = self.parse_var(ctx)
+        self.expect(",", ctx)
+        start = self.parse_var(ctx)
+        self.expect(",", ctx)
+        self.expect("(", "opening iterate body")
+        self.nesting += 1
+        body = self.parse_conj()
+        self.nesting -= 1
+        self.expect(")", "closing iterate body")
+        self.expect(")", ctx)
+        return Iterate(x=x, y=y, start=start, body=body)
+
+
+def reference_parse(text: str) -> Program:
+    """Parse NDL text into a :class:`Program`; raises :class:`ParseError`."""
+    return _Parser(_tokenize(text)).parse_program()

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tests.conftest import FIXTURES, ROOT, nested_iterates
+from tests.conftest import FIXTURES, ROOT, nested_iterates, overlong_digits
 
 
 def run_cli(*args, env_extra=None):
@@ -47,6 +47,23 @@ class TestCheck:
         proc = run_cli("check", "no-such-file.json")
         assert proc.returncode == 2
 
+    def test_deeply_nested_document_exits_two(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        proc = run_cli("check", str(deep))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: {deep}: not valid JSON")
+
+    def test_non_utf8_model_exits_two(self, tmp_path):
+        model = tmp_path / "latin1.json"
+        model.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        proc = run_cli("check", str(model))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: cannot read {model}: not UTF-8")
+
 
 class TestParse:
     def test_prints_canonical_form(self):
@@ -74,6 +91,23 @@ class TestParse:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
         assert "nested more than" in proc.stderr
+
+
+    def test_overlong_variable_index_exits_two(self, tmp_path):
+        op = tmp_path / "long.ndl"
+        op.write_text(f"swap_values(t0, t{overlong_digits()})")
+        proc = run_cli("parse", str(op))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {op}:1:17: program variable index too long in swap_values\n"
+
+    def test_non_utf8_operator_exits_two(self, tmp_path):
+        op = tmp_path / "latin1.ndl"
+        op.write_bytes(b"swap_values(t0, t1) \xa7")
+        proc = run_cli("parse", str(op))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: cannot read {op}: not UTF-8")
 
 
 class TestGrammar:
@@ -140,6 +174,19 @@ class TestNeighbors:
         )
         assert proc.returncode == 0
         assert "truncated" in proc.stderr
+
+    def test_deeply_nested_assignment_exits_two(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        proc = run_cli(
+            "neighbors",
+            "--model", fixture("tsp6.json"),
+            "--assignment", str(deep),
+            "--op", fixture("two_opt.ndl"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: {deep}: not valid JSON")
 
     def test_analyzer_errors_exit_one(self, tmp_path):
         op = tmp_path / "bad.ndl"
@@ -240,6 +287,31 @@ class TestMisc:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("synth", "--pop", "0"), "--pop"),
+            (("synth", "--samples", "0"), "--samples"),
+            (("synth", "--genome-length", "0"), "--genome-length"),
+            (("synth", "--budget", "1"), "--budget"),
+            (("synth", "--cap", "-1"), "--cap"),
+            (("synth", "--fuel", "-1"), "--fuel"),
+            (("grammar", "--budget", "1"), "--budget"),
+            (("solve", "--op", fixture("two_opt.ndl"), "--restarts", "-1"), "--restarts"),
+            (("solve", "--op", fixture("two_opt.ndl"), "--max-steps", "-1"), "--max-steps"),
+            (("solve", "--op", fixture("two_opt.ndl"), "--cap", "-1"), "--cap"),
+            (("solve", "--op", fixture("two_opt.ndl"), "--fuel", "-1"), "--fuel"),
+        ],
+    )
+    def test_range_errors_name_the_flag(self, args, flag):
+        command, *rest = args
+        seed = ("--seed", "1") if command != "grammar" else ()
+        proc = run_cli(command, "--model", fixture("tsp6.json"), *seed, *rest)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: {flag} must be ")
 
     def test_stdout_machine_parseable_everywhere(self):
         proc = run_cli("check", fixture("coloring_triangle.json"))

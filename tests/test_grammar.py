@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noodle.grammar import NT, Grammar, derive_grammar, map_genome, render_grammar
+from noodle.grammar import DEFAULT_MAX_DEPTH, NT, Grammar, derive_grammar, map_genome, render_grammar
 from noodle.lang.analyzer import analyze
 from noodle.lang.ast import render
 from noodle.lang.parser import parse
@@ -13,6 +13,7 @@ from tests.oracles import text_map_genome
 
 genomes = st.lists(st.integers(0, 255), min_size=80, max_size=80)
 short_genomes = st.lists(st.integers(0, 255), min_size=1, max_size=40)
+depths = st.one_of(st.just(DEFAULT_MAX_DEPTH), st.integers(1, 16))
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ class TestMapGenome:
         permuted_rules = tuple(
             (lhs, tuple(reversed(alts)) if lhs == "<var>" else alts) for lhs, alts in grammar.rules
         )
-        permuted = Grammar(rules=permuted_rules, max_depth=grammar.max_depth)
+        permuted = Grammar(rules=permuted_rules)
         genome = [0] * 80
         assert render(map_genome(grammar, genome).program) != render(map_genome(permuted, genome).program)
 
@@ -161,19 +162,23 @@ class TestMapperAgainstReference:
     """``map_genome`` builds the same program as deriving text and parsing it."""
 
     @staticmethod
-    def assert_same(grammar, genome, wrap_limit):
-        outcome = map_genome(grammar, genome, wrap_limit=wrap_limit)
-        assert (outcome.program, outcome.consumed, outcome.invalid) == text_map_genome(grammar, genome, wrap_limit)
+    def assert_same(grammar, genome, wrap_limit, max_depth):
+        outcome = map_genome(grammar, genome, wrap_limit=wrap_limit, max_depth=max_depth)
+        expected = text_map_genome(grammar, genome, wrap_limit, max_depth)
+        assert (outcome.program, outcome.consumed, outcome.invalid) == expected
+        if max_depth == DEFAULT_MAX_DEPTH:
+            assert map_genome(grammar, genome, wrap_limit=wrap_limit) == outcome
+            assert text_map_genome(grammar, genome, wrap_limit) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(genome=short_genomes, wrap_limit=st.integers(0, 3))
-    def test_tsp6(self, genome, wrap_limit, tsp6):
-        self.assert_same(derive_grammar(tsp6, budget=6), genome, wrap_limit)
+    @given(genome=short_genomes, wrap_limit=st.integers(0, 3), max_depth=depths)
+    def test_tsp6(self, genome, wrap_limit, max_depth, tsp6):
+        self.assert_same(derive_grammar(tsp6, budget=6), genome, wrap_limit, max_depth)
 
     @settings(max_examples=300, deadline=None)
-    @given(genome=short_genomes, wrap_limit=st.integers(0, 3))
-    def test_without_structural_circuit(self, genome, wrap_limit, no_structural_model):
-        self.assert_same(derive_grammar(no_structural_model, budget=3), genome, wrap_limit)
+    @given(genome=short_genomes, wrap_limit=st.integers(0, 3), max_depth=depths)
+    def test_without_structural_circuit(self, genome, wrap_limit, max_depth, no_structural_model):
+        self.assert_same(derive_grammar(no_structural_model, budget=3), genome, wrap_limit, max_depth)
 
     def test_deep_conjunction_maps_without_recursion(self, tsp6):
         # <atom> "," <conj> with a t0/t0 swap 2,000 times, then a last swap

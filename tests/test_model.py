@@ -19,7 +19,7 @@ from noodle.model import (
     violations,
 )
 
-from tests.conftest import fixture_text
+from tests.conftest import fixture_text, overlong_digits
 from tests.oracles import greedy_coloring, successor_cycles
 
 
@@ -129,6 +129,21 @@ class TestLoadModel:
         with pytest.raises(ModelError) as err:
             load_model(doc)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("load", [load_model, load_assignment])
+    def test_deeply_nested_json(self, load):
+        with pytest.raises(ModelError, match="not valid JSON"):
+            load("[" * 100_000)
+
+    @pytest.mark.parametrize("load", [load_model, load_assignment])
+    def test_undecodable_bytes(self, load):
+        with pytest.raises(ModelError, match="not valid JSON"):
+            load('{"values": [1, 2]}'.encode("utf-16-le")[:-1])
+
+    @pytest.mark.parametrize("load", [load_model, load_assignment])
+    def test_overlong_integer(self, load):
+        with pytest.raises(ModelError, match="not valid JSON"):
+            load(f'{{"values": [{overlong_digits()}]}}')
 
     def test_assignment_booleans_are_not_integers(self):
         with pytest.raises(ModelError, match="integers"):
