@@ -6,79 +6,24 @@ language (NDL), scores them by how many constraint kinds they keep
 satisfied, and deploys the best operator inside a restarting hill climber.
 """
 
-from noodle.model import (
-    Assignment,
-    ConstraintDecl,
-    Model,
-    ModelError,
-    ObjectiveSpec,
-    VarDecl,
-    check,
-    load_model,
-    objective,
-    relation_pairs,
-    seed_assignment,
-    violations,
-)
-from noodle.lang import (
-    ConstraintAtom,
-    Iterate,
-    Program,
-    Redirect,
-    Swap,
-    Var,
-    render,
-)
+from noodle.model import ModelError, load_model, seed_assignment
 from noodle.lang.parser import ParseError, parse
-from noodle.lang.analyzer import Diagnostics, analyze, optimize
-from noodle.lang.interp import NeighborSet, neighbors
-from noodle.grammar import Grammar, MappingOutcome, derive_grammar, map_genome, render_grammar
-from noodle.evolution import EvolutionConfig, EvolutionReport, Fitness, evaluate_fitness, evolve, vary
-from noodle.search import SearchConfig, SearchResult, hill_climb, is_local_optimum, solve
+from noodle.lang.analyzer import analyze
+from noodle.evolution import EvolutionConfig, evaluate_fitness, evolve
+from noodle.search import SearchConfig, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
-    "ConstraintAtom",
-    "ConstraintDecl",
-    "Diagnostics",
     "EvolutionConfig",
-    "EvolutionReport",
-    "Fitness",
-    "Grammar",
-    "Iterate",
-    "MappingOutcome",
-    "Model",
     "ModelError",
-    "NeighborSet",
-    "ObjectiveSpec",
     "ParseError",
-    "Program",
-    "Redirect",
     "SearchConfig",
-    "SearchResult",
-    "Swap",
-    "Var",
-    "VarDecl",
     "analyze",
-    "check",
-    "derive_grammar",
     "evaluate_fitness",
     "evolve",
-    "hill_climb",
-    "is_local_optimum",
     "load_model",
-    "map_genome",
-    "neighbors",
-    "objective",
-    "optimize",
     "parse",
-    "relation_pairs",
-    "render",
-    "render_grammar",
     "seed_assignment",
     "solve",
-    "vary",
-    "violations",
 ]

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from noodle import __version__
 from noodle.evolution import EvolutionConfig, evolve
@@ -45,6 +45,13 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_USAGE) from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", EXIT_USAGE) from exc
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from exc
 
 
 def _load_model(path: str):
@@ -137,6 +144,8 @@ def cmd_neighbors(args) -> int:
     for flag, value in (("--fuel", args.fuel), ("--cap", args.cap)):
         if value < 0:
             raise CliError(f"{flag} must be non-negative", EXIT_USAGE)
+    if args.budget < 1:
+        raise CliError("--budget must be at least 1", EXIT_USAGE)
     model = _load_model(args.model)
     program = _load_program(args.op)
     try:
@@ -173,15 +182,17 @@ def cmd_synth(args) -> int:
             genome_length=args.genome_length,
             var_budget=args.budget,
         )
-    report = evolve(model, config)
-    payload = json.dumps(report.to_json(), sort_keys=True) + "\n"
-    sys.stdout.write(payload)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.best_program + "\n")
+    with ExitStack() as files:
+        # opened before evolving, so an unwritable path costs no evolution
+        report_file = files.enter_context(_open_output(args.report)) if args.report else None
+        out_file = files.enter_context(_open_output(args.out)) if args.out else None
+        report = evolve(model, config)
+        payload = json.dumps(report.to_json(), sort_keys=True) + "\n"
+        sys.stdout.write(payload)
+        if report_file:
+            report_file.write(payload)
+        if out_file:
+            out_file.write(report.best_program + "\n")
     print(f"synth finished in {report.wall_clock:.2f}s, best tier {report.best_fitness.tier}", file=sys.stderr)
     if args.strict and any("TRUNCATED" in g.best_fitness.notes for g in report.generations):
         return EXIT_RUNTIME

@@ -145,9 +145,10 @@ def evaluate_fitness(
     Analyzer errors are rejected without running the interpreter (tier
     STATIC_REJECT, zero fuel).  Producing no neighbor at all on some
     sample is tier BARREN.  Otherwise the candidate is VALID:
-    ``preserved`` counts the constraint kinds no inspected neighbor
-    violates, ``productivity`` the smallest per-sample feasible-neighbor
-    count, and ``size_penalty`` the optimized program's atom count.
+    ``preserved`` counts the model's constraint kinds that `violations`
+    names for no inspected neighbor, ``productivity`` the smallest
+    per-sample count of feasible neighbors (those it names no kind for),
+    and ``size_penalty`` the optimized program's atom count.
     """
     diagnostics = analyze(program, model, budget=budget)
     if not diagnostics.ok:
@@ -156,7 +157,7 @@ def evaluate_fitness(
 
     optimized = optimize(program)
     size = atom_count(optimized)
-    kinds = model.kinds()
+    kinds = {c.kind for c in model.constraints}
     broken: set[str] = set()
     productivity = None
     fuel_used = 0
@@ -170,16 +171,13 @@ def evaluate_fitness(
             return Fitness(tier="BARREN", size_penalty=size, fuel_used=fuel_used, notes=tuple(notes))
         feasible = 0
         for nb in result.assignments:
-            counts = violations(model, nb)
-            if all(c == 0 for c in counts.values()):
-                feasible += 1
-            for kind, count in counts.items():
-                if count > 0:
-                    broken.add(kind)
+            violated = violations(model, nb)
+            feasible += not violated
+            broken |= violated
         productivity = feasible if productivity is None else min(productivity, feasible)
     return Fitness(
         tier="VALID",
-        preserved=len([k for k in kinds if k not in broken]),
+        preserved=len(kinds - broken),
         productivity=min(productivity, cap),
         size_penalty=size,
         fuel_used=fuel_used,

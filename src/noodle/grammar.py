@@ -37,12 +37,6 @@ class Grammar:
     rules: tuple[tuple[str, tuple[Alternative, ...]], ...]
     start: str = "<program>"
 
-    def alternatives(self, name: str) -> tuple[Alternative, ...]:
-        return dict(self.rules)[name]
-
-    def nonterminals(self) -> list[str]:
-        return [lhs for lhs, _ in self.rules]
-
 
 @dataclass(frozen=True)
 class MappingOutcome:

@@ -18,16 +18,3 @@ swap-only atom set: segment reversal on successor arrays needs pointer
 reassignment); `iterate` walks the structural successor relation and runs
 its body once per step with committed choice.
 """
-
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var, atom_count, render
-
-__all__ = [
-    "ConstraintAtom",
-    "Iterate",
-    "Program",
-    "Redirect",
-    "Swap",
-    "Var",
-    "atom_count",
-    "render",
-]

@@ -7,8 +7,6 @@ error.  Diagnostics are the result, never an exception.
 
 Error codes: UNBOUND_EFFECT, NO_EFFECT, UNKNOWN_CONSTRAINT,
 VAR_BUDGET_EXCEEDED.  Warning codes: SELF_SWAP, DUPLICATE_TEST.
-Program-level diagnostics use atom index -1; otherwise the index is the
-atom's pre-order position.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ DEFAULT_VAR_BUDGET = 6
 class Diagnostic:
     code: str
     message: str
-    atom_index: int
 
 
 @dataclass(frozen=True)
@@ -37,38 +34,29 @@ class Diagnostics:
     def ok(self) -> bool:
         return not self.errors
 
-    def codes(self) -> set[str]:
-        return {d.code for d in self.errors} | {d.code for d in self.warnings}
-
 
 def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) -> Diagnostics:
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
     bound: set[int] = set()
-    counter = [0]
-
-    def next_index() -> int:
-        counter[0] += 1
-        return counter[0] - 1
 
     def visit_conj(atoms) -> None:
         previous = None
         for atom in atoms:
-            idx = next_index()
             if isinstance(atom, ConstraintAtom):
                 if atom == previous:
-                    warnings.append(Diagnostic("DUPLICATE_TEST", f"adjacent duplicate test {atom.name}({atom.a}, {atom.b})", idx))
+                    warnings.append(Diagnostic("DUPLICATE_TEST", f"adjacent duplicate test {atom.name}({atom.a}, {atom.b})"))
                 if not model.constraints_by_name(atom.name):
-                    errors.append(Diagnostic("UNKNOWN_CONSTRAINT", f"{atom.name!r} matches no model constraint or alias", idx))
+                    errors.append(Diagnostic("UNKNOWN_CONSTRAINT", f"{atom.name!r} matches no model constraint or alias"))
                 bound.update((atom.a.index, atom.b.index))
             elif isinstance(atom, (Swap, Redirect)):
                 head = "swap_values" if isinstance(atom, Swap) else "redirect"
                 unbound = [v for v in (atom.a, atom.b) if v.index not in bound]
                 if unbound:
                     names = ", ".join(str(v) for v in dict.fromkeys(unbound))
-                    errors.append(Diagnostic("UNBOUND_EFFECT", f"{head} operand ({names}) has no prior binding occurrence", idx))
+                    errors.append(Diagnostic("UNBOUND_EFFECT", f"{head} operand ({names}) has no prior binding occurrence"))
                 if isinstance(atom, Swap) and atom.a == atom.b:
-                    warnings.append(Diagnostic("SELF_SWAP", f"swap_values({atom.a}, {atom.b}) has no effect", idx))
+                    warnings.append(Diagnostic("SELF_SWAP", f"swap_values({atom.a}, {atom.b}) has no effect"))
             else:  # Iterate; the header binds x, y, and start if free
                 bound.update((atom.x.index, atom.y.index, atom.start.index))
                 visit_conj(atom.body)
@@ -77,12 +65,12 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
     visit_conj(program.body)
 
     if not any(isinstance(a, (Swap, Redirect)) for a in walk(program.body)):
-        errors.append(Diagnostic("NO_EFFECT", "program contains no swap_values or redirect", -1))
+        errors.append(Diagnostic("NO_EFFECT", "program contains no swap_values or redirect"))
 
     over_budget = sorted(v for v in variables_used(program) if v >= budget)
     if over_budget:
         names = ", ".join(f"t{v}" for v in over_budget)
-        errors.append(Diagnostic("VAR_BUDGET_EXCEEDED", f"{names} beyond budget of {budget} variables (t0..t{budget - 1})", -1))
+        errors.append(Diagnostic("VAR_BUDGET_EXCEEDED", f"{names} beyond budget of {budget} variables (t0..t{budget - 1})"))
 
     return Diagnostics(errors=tuple(errors), warnings=tuple(warnings))
 

@@ -6,8 +6,10 @@ all_different, not_equal).  Assignments are total maps from variables to
 in-domain values.  Each kind's meaning is defined once, on
 `ConstraintDecl`: `satisfied` and `pairs`, the binary relation over
 variables a constraint induces, which the NDL interpreter enumerates.
-Domains double as the pruning mechanism for degenerate moves (an effect
-writing an out-of-domain value kills its derivation branch).
+`violations` names the kinds an assignment breaks, and `is_feasible`
+whether it breaks none.  Domains double as the pruning mechanism for
+degenerate moves (an effect writing an out-of-domain value kills its
+derivation branch).
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ class Model:
     def var(self, vid: int) -> VarDecl:
         return self.variables[vid - 1]
 
-    def constraint(self, cid: int) -> ConstraintDecl:
-        if not 1 <= cid <= len(self.constraints):
-            raise KeyError(f"unknown constraint id {cid}")
-        return self.constraints[cid - 1]
-
     def constraints_by_name(self, name: str) -> list[ConstraintDecl]:
         """Constraints whose alias or kind matches ``name``."""
         return [c for c in self.constraints if name in c.names]
@@ -140,16 +137,9 @@ class Model:
                 seen.append(name)
         return seen
 
-    def kinds(self) -> list[str]:
-        """Constraint kinds present, in declaration order."""
-        seen: list[str] = []
-        for c in self.constraints:
-            if c.kind not in seen:
-                seen.append(c.kind)
-        return seen
-
     def structural_constraint(self) -> ConstraintDecl | None:
-        return self.constraint(self.structural) if self.structural is not None else None
+        # load_model validates the id, so it always indexes a constraint
+        return self.constraints[self.structural - 1] if self.structural is not None else None
 
     def walk_scope(self) -> tuple[int, ...]:
         """The variables walks run over: the structural scope, else all in declaration order."""
@@ -339,27 +329,13 @@ def load_assignment(document) -> Assignment:
     return Assignment(values=tuple(values))
 
 
-def check(model: Model, constraint_id: int, assignment: Assignment) -> bool:
-    """Satisfaction of one constraint under a total, in-domain assignment."""
-    return model.constraint(constraint_id).satisfied(assignment.values)
-
-
-def violations(model: Model, assignment: Assignment) -> dict[str, int]:
-    """Number of unsatisfied constraints per kind present in the model."""
-    counts = {kind: 0 for kind in model.kinds()}
-    for c in model.constraints:
-        if not c.satisfied(assignment.values):
-            counts[c.kind] += 1
-    return counts
+def violations(model: Model, assignment: Assignment) -> set[str]:
+    """The kinds that have at least one unsatisfied constraint under ``assignment``."""
+    return {c.kind for c in model.constraints if not c.satisfied(assignment.values)}
 
 
 def is_feasible(model: Model, assignment: Assignment) -> bool:
     return all(c.satisfied(assignment.values) for c in model.constraints)
-
-
-def relation_pairs(model: Model, constraint_id: int, assignment: Assignment) -> set[tuple[int, int]]:
-    """The binary relation a constraint induces under the current assignment."""
-    return set(model.constraint(constraint_id).pairs(assignment.values))
 
 
 def objective(model: Model, assignment: Assignment):

@@ -100,23 +100,6 @@ def hill_climb(
     return current, current_cost, steps
 
 
-def is_local_optimum(
-    model: Model,
-    program: Program,
-    assignment: Assignment,
-    fuel: int = DEFAULT_FUEL,
-    cap: int = DEFAULT_CAP,
-) -> bool:
-    """True iff no feasible neighbor has a strictly lower objective."""
-    if not is_feasible(model, assignment):
-        raise InfeasibleError("infeasible assignment")
-    cost = objective(model, assignment)
-    result = neighbors(program, model, assignment, fuel=fuel, cap=cap)
-    return not any(
-        is_feasible(model, nb) and objective(model, nb) < cost for nb in result.assignments
-    )
-
-
 def solve(model: Model, program: Program, config: SearchConfig) -> SearchResult:
     """Run independent restarts and fold the best result deterministically."""
     # deployment accepts any variable budget the operator was bred under

@@ -10,6 +10,8 @@ flat-loop interpreter replaced; it shares only the model's constraint
 definitions (``ConstraintDecl.pairs``, walk positions) and the result
 type.  The reference parser is the hand-written tokenizer and per-head
 recursive descent that the package's scan-and-table parser replaced.
+The one exception is `is_local_optimum`, a checker on the climber's
+result that runs the package's interpreter, feasibility and objective.
 """
 
 import re
@@ -19,8 +21,8 @@ from itertools import permutations
 
 from noodle.grammar import DEFAULT_MAX_DEPTH
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
-from noodle.lang.interp import DEFAULT_CAP, DEFAULT_FUEL, NeighborSet
-from noodle.model import Assignment, Model
+from noodle.lang.interp import DEFAULT_CAP, DEFAULT_FUEL, NeighborSet, neighbors
+from noodle.model import Assignment, InfeasibleError, Model, is_feasible, objective
 
 
 def successor_cycles(values: tuple[int, ...]) -> int | None:
@@ -509,3 +511,20 @@ class _Parser:
 def reference_parse(text: str) -> Program:
     """Parse NDL text into a :class:`Program`; raises :class:`ParseError`."""
     return _Parser(_tokenize(text)).parse_program()
+
+
+def is_local_optimum(
+    model: Model,
+    program: Program,
+    assignment: Assignment,
+    fuel: int = DEFAULT_FUEL,
+    cap: int = DEFAULT_CAP,
+) -> bool:
+    """True iff no feasible neighbor has a strictly lower objective."""
+    if not is_feasible(model, assignment):
+        raise InfeasibleError("infeasible assignment")
+    cost = objective(model, assignment)
+    result = neighbors(program, model, assignment, fuel=fuel, cap=cap)
+    return not any(
+        is_feasible(model, nb) and objective(model, nb) < cost for nb in result.assignments
+    )

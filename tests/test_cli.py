@@ -247,6 +247,16 @@ class TestSynth:
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_two_before_evolving(self, tmp_path, flag, target):
+        path = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+        proc = run_cli("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--pop", "4", "--gens", "1", flag, str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: cannot write {path}: ")
+
     def test_thread_env_validated(self):
         proc = run_cli(
             "synth",
@@ -279,6 +289,7 @@ class TestMisc:
             ("solve", "--model", fixture("tsp6.json"), "--op", fixture("two_opt.ndl"), "--seed", "1", "--restarts", "-1"),
             ("neighbors", "--model", fixture("tsp6.json"), "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--cap", "-1"),
             ("neighbors", "--model", fixture("tsp6.json"), "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--fuel", "-3"),
+            ("neighbors", "--model", fixture("tsp6.json"), "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--budget", "0"),
         ],
     )
     def test_config_errors_exit_two_with_one_line(self, args):
@@ -302,16 +313,35 @@ class TestMisc:
             (("solve", "--op", fixture("two_opt.ndl"), "--max-steps", "-1"), "--max-steps"),
             (("solve", "--op", fixture("two_opt.ndl"), "--cap", "-1"), "--cap"),
             (("solve", "--op", fixture("two_opt.ndl"), "--fuel", "-1"), "--fuel"),
+            (("neighbors", "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--budget", "0"), "--budget"),
         ],
     )
     def test_range_errors_name_the_flag(self, args, flag):
         command, *rest = args
-        seed = ("--seed", "1") if command != "grammar" else ()
+        seed = ("--seed", "1") if command in ("synth", "solve") else ()
         proc = run_cli(command, "--model", fixture("tsp6.json"), *seed, *rest)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
         assert proc.stderr.startswith(f"error: {flag} must be ")
+
+    def test_public_surface(self):
+        import re
+
+        import noodle
+
+        assert sorted(noodle.__all__) == [
+            "EvolutionConfig", "ModelError", "ParseError", "SearchConfig", "analyze", "evaluate_fitness",
+            "evolve", "load_model", "parse", "seed_assignment", "solve",
+        ]
+        used = set()
+        for path in [ROOT / "perfbench" / "workloads.py", *sorted((ROOT / "scripts").glob("*.py"))]:
+            text = path.read_text(encoding="utf-8")
+            used.update(re.findall(r"\bnoodle\.(\w+)", text))
+            for names in re.findall(r"^from noodle import (\([^)]*\)|.*)", text, re.MULTILINE):
+                used.update(re.findall(r"\w+", names))
+        assert "evaluate_fitness" in used
+        assert used <= set(noodle.__all__)
 
     def test_stdout_machine_parseable_everywhere(self):
         proc = run_cli("check", fixture("coloring_triangle.json"))

@@ -56,18 +56,18 @@ def no_structural_model():
 
 class TestDeriveGrammar:
     def test_tsp_grammar_counts(self, tsp6):
-        grammar = derive_grammar(tsp6, budget=6)
-        assert len(grammar.alternatives("<cname>")) == 1
-        assert len(grammar.alternatives("<var>")) == 6
-        assert len(grammar.alternatives("<effect>")) == 2
+        rules = dict(derive_grammar(tsp6, budget=6).rules)
+        assert len(rules["<cname>"]) == 1
+        assert len(rules["<var>"]) == 6
+        assert len(rules["<effect>"]) == 2
 
     def test_two_constraints_two_names(self, two_constraint_model):
-        grammar = derive_grammar(two_constraint_model, budget=4)
-        assert len(grammar.alternatives("<cname>")) == 2
+        rules = dict(derive_grammar(two_constraint_model, budget=4).rules)
+        assert len(rules["<cname>"]) == 2
 
     def test_no_structural_drops_redirect(self, no_structural_model):
-        grammar = derive_grammar(no_structural_model, budget=3)
-        assert len(grammar.alternatives("<effect>")) == 1
+        rules = dict(derive_grammar(no_structural_model, budget=3).rules)
+        assert len(rules["<effect>"]) == 1
 
     def test_budget_floor(self, tsp6):
         with pytest.raises(ValueError):
@@ -75,18 +75,17 @@ class TestDeriveGrammar:
 
     def test_every_nonterminal_has_alternatives(self, tsp6, no_constraint_model):
         for model in (tsp6, no_constraint_model):
-            grammar = derive_grammar(model, budget=6)
-            defined = set(grammar.nonterminals())
-            for name in defined:
-                assert len(grammar.alternatives(name)) >= 1
-                for symbols, _ in grammar.alternatives(name):
-                    assert {text for kind, text in symbols if kind == NT} <= defined
+            rules = dict(derive_grammar(model, budget=6).rules)
+            for alternatives in rules.values():
+                assert len(alternatives) >= 1
+                for symbols, _ in alternatives:
+                    assert {text for kind, text in symbols if kind == NT} <= rules.keys()
 
     def test_no_constraint_drops_test_atom(self, no_constraint_model):
-        grammar = derive_grammar(no_constraint_model, budget=3)
-        assert "<test>" not in grammar.nonterminals()
-        assert "<cname>" not in grammar.nonterminals()
-        assert len(grammar.alternatives("<atom>")) == 2
+        rules = dict(derive_grammar(no_constraint_model, budget=3).rules)
+        assert "<test>" not in rules
+        assert "<cname>" not in rules
+        assert len(rules["<atom>"]) == 2
 
 
 class TestMapGenome:

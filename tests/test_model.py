@@ -9,12 +9,10 @@ from noodle.model import (
     Assignment,
     InfeasibleError,
     ModelError,
-    check,
     is_feasible,
     load_assignment,
     load_model,
     objective,
-    relation_pairs,
     seed_assignment,
     violations,
 )
@@ -152,39 +150,43 @@ class TestLoadModel:
 
 class TestCheck:
     def test_circuit_true_on_full_cycle(self, tsp4):
-        assert check(tsp4, 1, Assignment(values=(2, 3, 4, 1))) is True
+        assert tsp4.constraints[0].satisfied((2, 3, 4, 1)) is True
 
     def test_circuit_false_on_two_cycles(self, tsp4):
-        assert check(tsp4, 1, Assignment(values=(2, 1, 4, 3))) is False
+        assert tsp4.constraints[0].satisfied((2, 1, 4, 3)) is False
 
     def test_not_equal_false_on_equal_values(self, triangle):
-        assert check(triangle, 1, Assignment(values=(1, 1, 2))) is False
-
-    def test_unknown_constraint_id(self, tsp4):
-        for cid in (99, 0, -1):
-            with pytest.raises(KeyError):
-                check(tsp4, cid, Assignment(values=(2, 3, 4, 1)))
+        assert triangle.constraints[0].satisfied((1, 1, 2)) is False
 
 
 class TestViolations:
     def test_triangle_all_same_color(self, triangle):
-        assert violations(triangle, Assignment(values=(1, 1, 1))) == {"not_equal": 3}
+        assert violations(triangle, Assignment(values=(1, 1, 1))) == {"not_equal"}
 
     def test_feasible_tour(self, tsp4):
-        assert violations(tsp4, Assignment(values=(2, 3, 4, 1))) == {"circuit": 0}
+        assert violations(tsp4, Assignment(values=(2, 3, 4, 1))) == set()
 
     def test_short_cycle_counts_once(self, tsp4):
         # 1->2->3->1 covers only three of four positions
-        assert violations(tsp4, Assignment(values=(2, 3, 1, 1))) == {"circuit": 1}
+        assert violations(tsp4, Assignment(values=(2, 3, 1, 1))) == {"circuit"}
+
+    def test_names_only_the_broken_kinds(self):
+        names = ["v1", "v2", "v3", "v4"]
+        doc = circuit_model_doc(4)
+        doc["constraints"] += [{"kind": "all_different", "scope": names}, {"kind": "not_equal", "scope": names[:2]}]
+        model = load_model(doc)
+        assert violations(model, Assignment(values=(2, 1, 4, 3))) == {"circuit"}
+        assert violations(model, Assignment(values=(1, 1, 2, 3))) == {"circuit", "all_different", "not_equal"}
+        assert violations(model, Assignment(values=(2, 3, 4, 1))) == set()
 
 
 class TestRelationPairs:
     def test_circuit_successor_relation(self, tsp4):
-        pairs = relation_pairs(tsp4, 1, Assignment(values=(2, 3, 4, 1)))
+        pairs = set(tsp4.constraints[0].pairs((2, 3, 4, 1)))
         assert pairs == {(1, 2), (2, 3), (3, 4), (4, 1)}
 
     def test_circuit_value_outside_positions_has_no_successor(self, tsp4):
-        pairs = relation_pairs(tsp4, 1, Assignment(values=(0, 3, 4, 1)))
+        pairs = set(tsp4.constraints[0].pairs((0, 3, 4, 1)))
         assert pairs == {(2, 3), (3, 4), (4, 1)}
 
     def test_all_different_conflict_pairs(self):
@@ -195,14 +197,14 @@ class TestRelationPairs:
             "constraints": [{"kind": "all_different", "scope": "g"}],
         }
         model = load_model(doc)
-        pairs = relation_pairs(model, 1, Assignment(values=(1, 2, 2)))
+        pairs = set(model.constraints[0].pairs((1, 2, 2)))
         assert pairs == {(2, 3), (3, 2)}
 
     def test_not_equal_static_pair(self, triangle):
         constraint = triangle.constraints[0]
         a, b = constraint.scope
         for values in [(1, 2, 3), (1, 1, 1), (3, 2, 1)]:
-            assert relation_pairs(triangle, constraint.id, Assignment(values=values)) == {(a, b), (b, a)}
+            assert set(constraint.pairs(values)) == {(a, b), (b, a)}
 
     @given(values=st.lists(st.integers(1, 4), min_size=4, max_size=4))
     def test_all_different_relation_symmetric(self, values):
@@ -213,7 +215,7 @@ class TestRelationPairs:
             "constraints": [{"kind": "all_different", "scope": "g"}],
         }
         model = load_model(doc)
-        pairs = relation_pairs(model, 1, Assignment(values=tuple(values)))
+        pairs = set(model.constraints[0].pairs(tuple(values)))
         assert {(b, a) for a, b in pairs} == pairs
 
 
@@ -242,23 +244,21 @@ class TestCircuitAgainstCycleOracle:
     def test_check_iff_single_cycle(self, n, data):
         model = load_model(circuit_model_doc(n))
         values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
-        assignment = Assignment(values=values)
-        assert check(model, 1, assignment) == (successor_cycles(values) == 1)
+        assert model.constraints[0].satisfied(values) == (successor_cycles(values) == 1)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(3, 8), data=st.data())
     def test_check_iff_relation_pairs_form_one_covering_cycle(self, n, data):
         model = load_model(circuit_model_doc(n))
         values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
-        assignment = Assignment(values=values)
-        pairs = relation_pairs(model, 1, assignment)
+        pairs = set(model.constraints[0].pairs(values))
         succ = dict(pairs)
         node, seen = 1, set()
         while node not in seen:
             seen.add(node)
             node = succ[node]
         single_cover = node == 1 and len(seen) == n and len(pairs) == n
-        assert check(model, 1, assignment) == single_cover
+        assert model.constraints[0].satisfied(values) == single_cover
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(3, 6), data=st.data())
@@ -266,9 +266,8 @@ class TestCircuitAgainstCycleOracle:
         model = load_model(circuit_model_doc(n))
         values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
         assignment = Assignment(values=values)
-        counts = violations(model, assignment)
-        all_ok = all(check(model, c.id, assignment) for c in model.constraints)
-        assert (sum(counts.values()) == 0) == all_ok
+        all_ok = all(c.satisfied(values) for c in model.constraints)
+        assert (violations(model, assignment) == set()) == all_ok
 
 
 class TestDistinctnessAgainstOracle:
@@ -283,7 +282,7 @@ class TestDistinctnessAgainstOracle:
         model = load_model(doc)
         values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
         distinct = all(x != y for x, y in itertools.combinations(values, 2))
-        assert check(model, 1, Assignment(values=values)) == distinct
+        assert model.constraints[0].satisfied(values) == distinct
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 5), data=st.data())
@@ -296,7 +295,7 @@ class TestDistinctnessAgainstOracle:
         }
         model = load_model(doc)
         values = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
-        assert check(model, 1, Assignment(values=values)) == (values[a - 1] != values[b - 1])
+        assert model.constraints[0].satisfied(values) == (values[a - 1] != values[b - 1])
 
 
 class TestObjective:
@@ -342,7 +341,7 @@ class TestSeedAssignment:
     def test_circuit_model_always_feasible(self, tsp6):
         for seed in range(25):
             assignment = seed_assignment(tsp6, seed)
-            assert sum(violations(tsp6, assignment).values()) == 0
+            assert violations(tsp6, assignment) == set()
 
     def test_path_coloring_never_needs_third_color(self, path5):
         for seed in range(200):

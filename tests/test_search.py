@@ -4,9 +4,10 @@ from itertools import permutations
 import pytest
 
 from noodle.model import Assignment, InfeasibleError, is_feasible, objective
-from noodle.search import SearchConfig, hill_climb, is_local_optimum, solve
+from noodle.search import SearchConfig, hill_climb, solve
 
 from tests.oracles import (
+    is_local_optimum,
     nearest_neighbor_cost,
     path_to_successors,
     steepest_two_opt_descent,
