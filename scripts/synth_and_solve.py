@@ -41,9 +41,12 @@ def main() -> None:
     print(f"  fitness: {report.best_fitness.to_json()}")
 
     search = SearchConfig(restarts=args.restarts, seed=args.seed)
-    evolved_result = solve(model, parse(report.best_program), search)
+    if report.best_fitness.tier == "STATIC_REJECT":
+        print("no evolved operator passed analysis; solving with the reference only")
+    else:
+        evolved_result = solve(model, parse(report.best_program), search)
+        print(f"evolved operator best tour cost:   {evolved_result.best_objective}")
     reference_result = solve(model, reference, search)
-    print(f"evolved operator best tour cost:   {evolved_result.best_objective}")
     print(f"reference 2-opt best tour cost:    {reference_result.best_objective}")
 
 

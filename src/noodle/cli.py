@@ -2,10 +2,10 @@
 
 Machine-readable data (JSON, JSON lines, NDL text, BNF text) goes to
 stdout; all human-facing diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on runtime failures (infeasible inputs; truncation under
---strict), 2 on usage, parse, or schema errors.  Truncation by fuel or
-neighbor caps is a warning by default so that synthesis runs tolerate
-expensive candidates.
+success, 1 on runtime failures (infeasible inputs; a failed output write;
+truncation under --strict), 2 on usage, parse, or schema errors.
+Truncation by fuel or neighbor caps is a warning by default so that
+synthesis runs tolerate expensive candidates.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def cmd_neighbors(args) -> int:
         return EXIT_RUNTIME
     result = neighbors(program, model, assignment, fuel=args.fuel, cap=args.cap)
     for nb in result.assignments:
-        _emit({"values": list(nb.values)})
+        _emit({"values": list(nb)})
     if result.truncated:
         print("warning: neighborhood truncated (fuel or cap exhausted)", file=sys.stderr)
         if args.strict:
@@ -189,10 +189,13 @@ def cmd_synth(args) -> int:
         report = evolve(model, config)
         payload = json.dumps(report.to_json(), sort_keys=True) + "\n"
         sys.stdout.write(payload)
-        if report_file:
-            report_file.write(payload)
-        if out_file:
-            out_file.write(report.best_program + "\n")
+        for path, handle, text in ((args.report, report_file, payload), (args.out, out_file, report.best_program + "\n")):
+            if handle:
+                try:  # close flushes here: a failed flush would fail again, unguarded, in the stack's close
+                    handle.write(text)
+                    handle.close()
+                except OSError as exc:
+                    raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_RUNTIME) from exc
     print(f"synth finished in {report.wall_clock:.2f}s, best tier {report.best_fitness.tier}", file=sys.stderr)
     if args.strict and any("TRUNCATED" in g.best_fitness.notes for g in report.generations):
         return EXIT_RUNTIME

@@ -48,9 +48,6 @@ class Fitness:
     def __lt__(self, other: "Fitness") -> bool:
         return self.key() < other.key()
 
-    def __le__(self, other: "Fitness") -> bool:
-        return self.key() <= other.key()
-
     def to_json(self) -> dict:
         return {
             "tier": self.tier,

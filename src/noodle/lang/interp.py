@@ -90,7 +90,7 @@ def neighbors(
     walk_scope = model.walk_scope()
     structural = model.structural_constraint()
     chain = dict(zip(walk_scope, walk_scope[1:]))
-    start_values = tuple(start.values)
+    start_values = tuple(start)
     results: set[tuple[int, ...]] = set()
     remaining = fuel
 
@@ -219,5 +219,4 @@ def neighbors(
     except _Truncated:
         truncated = True
 
-    assignments = tuple(Assignment(values=v) for v in sorted(results))
-    return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining)
+    return NeighborSet(assignments=tuple(sorted(results)), truncated=truncated, steps_used=fuel - remaining)

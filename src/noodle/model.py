@@ -1,15 +1,16 @@
 """Constraint-model layer: problem representation, checking, and sampling.
 
-A model declares integer variables with finite domains, named variable
-groups, and constraints drawn from a small catalog (circuit,
-all_different, not_equal).  Assignments are total maps from variables to
-in-domain values.  Each kind's meaning is defined once, on
-`ConstraintDecl`: `satisfied` and `pairs`, the binary relation over
-variables a constraint induces, which the NDL interpreter enumerates.
-`violations` names the kinds an assignment breaks, and `is_feasible`
-whether it breaks none.  Domains double as the pruning mechanism for
-degenerate moves (an effect writing an out-of-domain value kills its
-derivation branch).
+A model declares integer variables with finite domains (an interval
+holds at most `MAX_DOMAIN_SIZE` values), named variable groups, and
+constraints drawn from a small catalog (circuit, all_different,
+not_equal).  An assignment is a plain tuple of ints;
+`validate_assignment` checks one against a model.  Each kind's meaning
+is defined once, on `ConstraintDecl`: `satisfied` and `pairs`, the
+binary relation over variables a constraint induces, which the NDL
+interpreter enumerates.  `violations` names the kinds an assignment
+breaks, and `is_feasible` whether it breaks none.  Domains double as the
+pruning mechanism for degenerate moves (an effect writing an
+out-of-domain value kills its derivation branch).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from noodle.lang.parser import IDENT_RE
 
 CONSTRAINT_KINDS = ("circuit", "all_different", "not_equal")
 OBJECTIVE_KINDS = ("none", "next_cost", "distinct_count")
+MAX_DOMAIN_SIZE = 1_000_000  # values in one interval domain, checked before it is built
 
 
 class ModelError(ValueError):
@@ -104,12 +106,7 @@ class ObjectiveSpec:
     group: str | None = None  # distinct_count only
 
 
-@dataclass(frozen=True)
-class Assignment:
-    values: tuple[int, ...]  # position i-1 holds the value of variable i
-
-    def __len__(self) -> int:
-        return len(self.values)
+Assignment = tuple[int, ...]  # position i-1 holds the value of variable i
 
 
 @dataclass(frozen=True)
@@ -154,11 +151,11 @@ class Model:
         return {vid: i + 1 for i, vid in enumerate(self.walk_scope())}
 
     def validate_assignment(self, assignment: Assignment) -> None:
-        if len(assignment.values) != len(self.variables):
+        if len(assignment) != len(self.variables):
             raise InfeasibleError(
-                f"assignment has {len(assignment.values)} values, model has {len(self.variables)} variables"
+                f"assignment has {len(assignment)} values, model has {len(self.variables)} variables"
             )
-        for decl, value in zip(self.variables, assignment.values):
+        for decl, value in zip(self.variables, assignment):
             if value not in decl.domain:
                 raise InfeasibleError(f"value {value} outside domain of variable {decl.name!r}")
 
@@ -180,6 +177,7 @@ def _parse_domain(spec, path: str) -> frozenset[int]:
         lo, hi = spec["lo"], spec["hi"]
         _require(_is_int(lo) and _is_int(hi), "interval bounds must be integers", path)
         _require(lo <= hi, "empty domain", path)
+        _require(hi - lo < MAX_DOMAIN_SIZE, f"interval domain has more than {MAX_DOMAIN_SIZE:,} values", path)
         return frozenset(range(lo, hi + 1))
     if "set" in spec:
         values = spec["set"]
@@ -326,16 +324,16 @@ def load_assignment(document) -> Assignment:
     _require(isinstance(document, dict) and isinstance(document.get("values"), list), "assignment document must be {'values': [...]}", "values")
     values = document["values"]
     _require(all(_is_int(v) for v in values), "values must be integers", "values")
-    return Assignment(values=tuple(values))
+    return tuple(values)
 
 
 def violations(model: Model, assignment: Assignment) -> set[str]:
     """The kinds that have at least one unsatisfied constraint under ``assignment``."""
-    return {c.kind for c in model.constraints if not c.satisfied(assignment.values)}
+    return {c.kind for c in model.constraints if not c.satisfied(assignment)}
 
 
 def is_feasible(model: Model, assignment: Assignment) -> bool:
-    return all(c.satisfied(assignment.values) for c in model.constraints)
+    return all(c.satisfied(assignment) for c in model.constraints)
 
 
 def objective(model: Model, assignment: Assignment):
@@ -343,12 +341,11 @@ def objective(model: Model, assignment: Assignment):
     spec = model.objective
     if spec.kind == "none":
         return 0
-    values = assignment.values
     if spec.kind == "next_cost":
         scope = model.structural_constraint().scope
-        return sum(spec.matrix[i][values[vid - 1] - 1] for i, vid in enumerate(scope))
+        return sum(spec.matrix[i][assignment[vid - 1] - 1] for i, vid in enumerate(scope))
     # distinct_count
-    return len({values[vid - 1] for vid in model.groups[spec.group]})
+    return len({assignment[vid - 1] for vid in model.groups[spec.group]})
 
 
 def seed_assignment(model: Model, rng_seed: int) -> Assignment:
@@ -410,7 +407,7 @@ def seed_assignment(model: Model, rng_seed: int) -> Assignment:
             raise InfeasibleError("infeasible seed")
         values[vid - 1] = free[0]
 
-    assignment = Assignment(values=tuple(values))
+    assignment = tuple(values)
     model.validate_assignment(assignment)
     if not is_feasible(model, assignment):
         raise InfeasibleError("infeasible seed")

@@ -50,7 +50,7 @@ class SearchResult:
 
     def to_json(self) -> dict:
         return {
-            "best_values": list(self.best_assignment.values) if self.best_assignment else None,
+            "best_values": list(self.best_assignment) if self.best_assignment else None,
             "best_objective": self.best_objective,
             "restarts": [{"steps": t.steps, "objective": t.objective} for t in self.traces],
             "neighbors_generated": self.neighbors_generated,

@@ -228,7 +228,7 @@ def reference_neighbors(
     """
     model.validate_assignment(start)
     ctx = _Context(model, _reverse_pairs)
-    start_values = tuple(start.values)
+    start_values = tuple(start)
     results: set[tuple[int, ...]] = set()
     truncated = False
     remaining = [fuel]
@@ -344,7 +344,7 @@ def reference_neighbors(
     except _CapReached:
         truncated = True
 
-    assignments = tuple(Assignment(values=v) for v in sorted(results))
+    assignments = tuple(v for v in sorted(results))
     return NeighborSet(assignments=assignments, truncated=truncated, steps_used=fuel - remaining[0])
 
 ATOM_HEADS = ("constraint", "swap_values", "redirect", "iterate")

@@ -18,7 +18,7 @@ from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.ast import render
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
-from noodle.model import Assignment, is_feasible, seed_assignment
+from noodle.model import is_feasible, seed_assignment
 from noodle.search import SearchConfig, hill_climb, solve
 
 from tests.conftest import FIXTURES, fixture_text
@@ -61,17 +61,17 @@ def test_criterion_1_legacy_operator_round_trip(tsp6):
 
 def test_criterion_2_two_opt_expressibility(tsp6, two_opt):
     with criterion(2, "2-opt expressibility", 5.0):
-        start = Assignment(values=FIXED_TOUR6)
+        start = FIXED_TOUR6
         result = neighbors(two_opt, tsp6, start)
         assert not result.truncated
-        feasible = [a.values for a in result.assignments if is_feasible(tsp6, a)]
+        feasible = [a for a in result.assignments if is_feasible(tsp6, a)]
 
-        oracle_arrays = two_opt_neighborhood(start.values)
+        oracle_arrays = two_opt_neighborhood(start)
         assert len(oracle_arrays) == 6 * (6 - 3) // 2 == 9
         # every oracle move is directly expressible as an emitted array
         assert oracle_arrays <= set(feasible)
         # as tours, the feasible neighborhood is exactly the 2-opt neighborhood
-        produced = {canonical_tour(v) for v in feasible} - {canonical_tour(start.values)}
+        produced = {canonical_tour(v) for v in feasible} - {canonical_tour(start)}
         expected = {canonical_tour(v) for v in oracle_arrays}
         assert produced == expected
         assert len(produced) == 9
@@ -150,7 +150,7 @@ def test_criterion_6_rediscovery(tsp6):
 def test_criterion_7_search_deployment(tsp4, tsp6, two_opt):
     with criterion(7, "search deployment", 10.0):
         for i, rest in enumerate(permutations(range(2, 5))):
-            start = Assignment(values=path_to_successors([1, *rest]))
+            start = path_to_successors([1, *rest])
             _, cost, _ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
             assert cost == 4
 

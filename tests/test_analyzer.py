@@ -5,7 +5,6 @@ from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.ast import atom_count, render
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
-from noodle.model import Assignment
 
 from tests.conftest import fixture_text
 
@@ -99,7 +98,7 @@ class TestOptimize:
         )
         optimized = optimize(duplicated)
         assert atom_count(optimized) == 2
-        start = Assignment(values=(2, 3, 4, 1))
+        start = (2, 3, 4, 1)
         before = neighbors(duplicated, tsp4, start)
         after = neighbors(optimized, tsp4, start)
         assert before.assignments == after.assignments
@@ -121,7 +120,7 @@ class TestOptimize:
         )
         rng = random.Random(13)
         grammar = derive_grammar(model, budget=5)
-        start = Assignment(values=(2, 3, 4, 5, 1))
+        start = (2, 3, 4, 5, 1)
         compared = 0
         attempts = 0
         while compared < 200 and attempts < 20_000:

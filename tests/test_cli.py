@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,8 +9,6 @@ from tests.conftest import FIXTURES, ROOT, nested_iterates, overlong_digits
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     if env_extra:
@@ -55,6 +54,15 @@ class TestCheck:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
         assert proc.stderr.startswith(f"error: {deep}: not valid JSON")
+
+    def test_oversized_interval_domain_exits_two(self, tmp_path):
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"variables": [{"name": "a", "domain": {"lo": 1, "hi": 10**12}}]}))
+        proc = run_cli("check", str(model))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith(f"error: {model}: variables[0].domain: interval domain has more than")
 
     def test_non_utf8_model_exits_two(self, tmp_path):
         model = tmp_path / "latin1.json"
@@ -126,9 +134,8 @@ class TestGrammar:
 class TestNeighbors:
     def test_line_count_matches_library(self, circuit3, swap_pair):
         from noodle.lang.interp import neighbors
-        from noodle.model import Assignment
 
-        expected = neighbors(swap_pair, circuit3, Assignment(values=(2, 3, 1)))
+        expected = neighbors(swap_pair, circuit3, (2, 3, 1))
         proc = run_cli(
             "neighbors",
             "--model", fixture("circuit3.json"),
@@ -138,7 +145,7 @@ class TestNeighbors:
         assert proc.returncode == 0
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
         assert len(lines) == len(expected) == 3
-        assert [tuple(entry["values"]) for entry in lines] == [a.values for a in expected.assignments]
+        assert [tuple(entry["values"]) for entry in lines] == list(expected.assignments)
 
     def test_long_conjunction_exits_zero(self, tmp_path):
         op = tmp_path / "long.ndl"
@@ -257,6 +264,16 @@ class TestSynth:
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
         assert proc.stderr.startswith(f"error: cannot write {path}: ")
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_write_failure_exits_one_naming_the_path(self, flag):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full to fail writes")
+        proc = run_cli("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--pop", "4", "--gens", "1", flag, "/dev/full")
+        assert proc.returncode == 1
+        json.loads(proc.stdout)  # the report still goes to stdout
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith("error: cannot write /dev/full: ")
+
     def test_thread_env_validated(self):
         proc = run_cli(
             "synth",
@@ -342,6 +359,15 @@ class TestMisc:
                 used.update(re.findall(r"\w+", names))
         assert "evaluate_fitness" in used
         assert used <= set(noodle.__all__)
+
+    def test_scripts_run(self):
+        for script, *args in (
+            ("synth_and_solve.py", "--pop", "4", "--gens", "1", "--restarts", "1"),
+            ("scan_seeds.py", "--seeds", "1", "--pop", "4", "--gens", "1"),
+        ):
+            command = [sys.executable, str(ROOT / "scripts" / script), *args]
+            proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, f"{script}: {proc.stderr}"
 
     def test_stdout_machine_parseable_everywhere(self):
         proc = run_cli("check", fixture("coloring_triangle.json"))

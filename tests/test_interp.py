@@ -8,25 +8,25 @@ from noodle.grammar import derive_grammar, map_genome
 from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import MAX_ITERATE_NESTING, parse
-from noodle.model import Assignment, load_model, seed_assignment
+from noodle.model import load_model, seed_assignment
 
 from tests.conftest import nested_iterates
 from tests.oracles import is_tour, reference_neighbors
 
 
 def values_of(result):
-    return sorted(a.values for a in result.assignments)
+    return sorted(result.assignments)
 
 
 class TestConstraintAndSwap:
     def test_three_city_swap_neighborhood(self, circuit3, swap_pair):
-        result = neighbors(swap_pair, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(swap_pair, circuit3, (2, 3, 1))
         assert values_of(result) == [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
         assert not result.truncated
 
     def test_input_never_a_member(self, circuit3, swap_pair):
-        result = neighbors(swap_pair, circuit3, Assignment(values=(2, 3, 1)))
-        assert (2, 3, 1) not in {a.values for a in result.assignments}
+        result = neighbors(swap_pair, circuit3, (2, 3, 1))
+        assert (2, 3, 1) not in set(result.assignments)
 
     def test_failing_test_gives_empty_set(self):
         doc = {
@@ -37,26 +37,26 @@ class TestConstraintAndSwap:
         }
         model = load_model(doc)
         program = parse("constraint(all_different, t0, t1), swap_values(t0, t1)")
-        result = neighbors(program, model, Assignment(values=(1, 2, 3)))
+        result = neighbors(program, model, (1, 2, 3))
         assert len(result) == 0
 
     def test_swap_fails_when_value_leaves_domain(self, tsp6, single_swap):
         # with self-position excluded from every domain, swapping a successor
         # pair always writes a variable's own position: every branch dies
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result = neighbors(single_swap, tsp6, start)
         assert len(result) == 0
 
     def test_long_conjunction_runs_without_recursion(self, circuit3):
         text = ", ".join(["constraint(circuit, t0, t1)"] * 1500 + ["swap_values(t0, t1)"])
-        result = neighbors(parse(text), circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(parse(text), circuit3, (2, 3, 1))
         assert values_of(result) == [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
 
     def test_bound_pair_acts_as_test(self, circuit3):
         program = parse(
             "constraint(circuit, t0, t1), constraint(circuit, t1, t2), swap_values(t0, t2)"
         )
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(program, circuit3, (2, 3, 1))
         # chained generator: t2 is forced to t1's successor, 3 branches total
         assert len(result) == 3
 
@@ -65,17 +65,17 @@ class TestRedirect:
     def test_redirect_targets_structural_positions(self, circuit3):
         program = parse("constraint(circuit, t0, t1), redirect(t0, t0)")
         # pointing a variable at its own position is allowed by the full domains
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(program, circuit3, (2, 3, 1))
         assert values_of(result) == [(1, 3, 1), (2, 2, 1), (2, 3, 3)]
 
     def test_redirect_fails_outside_domain(self, tsp6):
         program = parse("constraint(all_diff_next, t0, t1), redirect(t0, t0)")
-        result = neighbors(program, tsp6, Assignment(values=(2, 3, 4, 5, 6, 1)))
+        result = neighbors(program, tsp6, (2, 3, 4, 5, 6, 1))
         assert len(result) == 0
 
     def test_redirect_without_structural_uses_variable_order(self, triangle):
         program = parse("constraint(not_equal, t0, t1), redirect(t0, t1)")
-        result = neighbors(program, triangle, Assignment(values=(1, 2, 3)))
+        result = neighbors(program, triangle, (1, 2, 3))
         # the kind name unions all three edges; each branch points one
         # endpoint's value at the other's variable-order position
         assert values_of(result) == [(1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 3, 3), (2, 2, 3), (3, 2, 3)]
@@ -84,7 +84,7 @@ class TestRedirect:
 class TestIterate:
     def test_prefix_branches_and_stop_rule(self, circuit3):
         program = parse("constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2)))")
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(program, circuit3, (2, 3, 1))
         expected = [(2, 1, 1), (2, 1, 2), (2, 3, 2), (3, 1, 1), (3, 3, 1), (3, 3, 2)]
         assert values_of(result) == expected
 
@@ -92,22 +92,22 @@ class TestIterate:
         program = parse(
             "constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2))), redirect(t1, t3)"
         )
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(program, circuit3, (2, 3, 1))
         assert values_of(result) == [(2, 1, 1), (2, 3, 2), (3, 1, 2), (3, 3, 1)]
 
     def test_committed_choice_takes_first_success_only(self, circuit3):
         # the body's generator binds on step one and persists; a free-choice
         # interpreter would emit three swaps here instead of one
         program = parse("iterate(t0 - t1, t2, (constraint(circuit, t3, t4), swap_values(t3, t4)))")
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
+        result = neighbors(program, circuit3, (2, 3, 1))
         assert values_of(result) == [(3, 2, 1)]
 
     def test_walk_relation_snapshotted_at_entry(self, circuit3):
         # the body's redirects rewrite successors; a live walk would stop
         # after one step and never emit the two-step prefix (3, 3, 2)
         program = parse("constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2)))")
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)))
-        assert (3, 3, 2) in {a.values for a in result.assignments}
+        result = neighbors(program, circuit3, (2, 3, 1))
+        assert (3, 3, 2) in set(result.assignments)
 
     def test_atom_fails_without_a_successful_step(self, tsp6):
         # swap of a successor pair dies on the self-excluding domains, so the
@@ -115,18 +115,18 @@ class TestIterate:
         program = parse(
             "constraint(all_diff_next, t0, t1), iterate(t2 - t3, t1, (swap_values(t2, t3)))"
         )
-        result = neighbors(program, tsp6, Assignment(values=(2, 3, 4, 5, 6, 1)))
+        result = neighbors(program, tsp6, (2, 3, 4, 5, 6, 1))
         assert len(result) == 0
 
     def test_nesting_limit_runs(self, circuit3):
         program = parse(nested_iterates(MAX_ITERATE_NESTING))
-        result = neighbors(program, circuit3, Assignment(values=(2, 3, 1)), fuel=2_000)
+        result = neighbors(program, circuit3, (2, 3, 1), fuel=2_000)
         assert result.truncated
 
     def test_unbound_start_branches_over_scope(self, circuit3):
         bound = parse("constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2)))")
         free = parse("iterate(t2 - t3, t5, (redirect(t3, t2)))")
-        start = Assignment(values=(2, 3, 1))
+        start = (2, 3, 1)
         # a free start generates from every scope variable, which covers the
         # same walks the generator-bound version reaches
         assert values_of(neighbors(free, circuit3, start)) == values_of(neighbors(bound, circuit3, start))
@@ -134,31 +134,31 @@ class TestIterate:
 
 class TestSafetyProperties:
     def test_purity_and_repeatability(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         first = neighbors(two_opt, tsp6, start)
         second = neighbors(two_opt, tsp6, start)
-        assert start.values == (2, 3, 4, 5, 6, 1)
+        assert start == (2, 3, 4, 5, 6, 1)
         assert first.assignments == second.assignments
 
     def test_branch_isolation_under_reversed_exploration(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         forward = neighbors(two_opt, tsp6, start)
         backward = neighbors(two_opt, tsp6, start, _reverse_pairs=True)
         assert forward.assignments == backward.assignments
 
     def test_fuel_exhaustion_truncates_without_raising(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result = neighbors(two_opt, tsp6, start, fuel=25)
         assert result.truncated
 
     def test_cap_truncates(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result = neighbors(two_opt, tsp6, start, cap=5)
         assert result.truncated
         assert len(result) == 5
 
     def test_exact_cap_is_not_truncation(self, circuit3, swap_pair):
-        result = neighbors(swap_pair, circuit3, Assignment(values=(2, 3, 1)), cap=3)
+        result = neighbors(swap_pair, circuit3, (2, 3, 1), cap=3)
         assert len(result) == 3
         assert not result.truncated
 
@@ -176,9 +176,9 @@ class TestSafetyProperties:
             tsp6.validate_assignment(member)
 
     def test_two_opt_emits_only_tours_here(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result = neighbors(two_opt, tsp6, start)
-        assert all(is_tour(a.values) for a in result.assignments)
+        assert all(is_tour(a) for a in result.assignments)
 
 
 class TestAgainstReference:
@@ -211,7 +211,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("fuel", [500, 1_000_000])
     def test_two_opt_reversed(self, fuel, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         ours = neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
         ref = reference_neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
         assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)

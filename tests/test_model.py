@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noodle.model import (
-    Assignment,
     InfeasibleError,
     ModelError,
     is_feasible,
@@ -17,6 +16,7 @@ from noodle.model import (
     violations,
 )
 
+from noodle.lang.interp import neighbors
 from tests.conftest import fixture_text, overlong_digits
 from tests.oracles import greedy_coloring, successor_cycles
 
@@ -103,7 +103,7 @@ class TestLoadModel:
 
     def test_assignment_document_roundtrip(self):
         assignment = load_assignment('{"values": [2, 3, 1]}')
-        assert assignment.values == (2, 3, 1)
+        assert assignment == (2, 3, 1)
 
     def test_non_identifier_alias(self):
         doc = circuit_model_doc(3)
@@ -147,6 +147,46 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="integers"):
             load_assignment('{"values": [true, 2, 3]}')
 
+    @pytest.mark.parametrize("lo, hi", [(0, 10**6), (-(10**12), 10**12)])
+    def test_oversized_interval_domain_rejected_before_it_is_built(self, lo, hi):
+        doc = {"variables": [{"name": "a", "domain": {"lo": 1, "hi": 2}}, {"name": "b", "domain": {"lo": lo, "hi": hi}}]}
+        with pytest.raises(ModelError, match="more than 1,000,000 values") as err:
+            load_model(doc)
+        assert err.value.path == "variables[1].domain"
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly near-misses of a tsp6 assignment, so each branch below is reached
+ASSIGNMENT_DOCUMENTS = (
+    st.fixed_dictionaries({"values": st.lists(st.integers(0, 7), min_size=5, max_size=7)})
+    | st.fixed_dictionaries({"values": st.lists(st.integers(1, 6), min_size=6, max_size=6)})
+    | st.fixed_dictionaries({"values": st.lists(JSON_LEAVES, max_size=7)})
+    | JSON_VALUES
+)
+
+
+class TestAssignmentDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(document=ASSIGNMENT_DOCUMENTS, as_text=st.booleans())
+    def test_load_validate_and_run_or_fail_cleanly(self, tsp6, two_opt, document, as_text):
+        try:
+            assignment = load_assignment(json.dumps(document) if as_text else document)
+        except ModelError:
+            return
+        assert type(assignment) is tuple
+        assert all(type(v) is int for v in assignment)
+        try:
+            tsp6.validate_assignment(assignment)
+        except InfeasibleError:
+            return
+        result = neighbors(two_opt, tsp6, assignment, fuel=2_000)
+        assert all(type(nb) is tuple for nb in result.assignments)
+
 
 class TestCheck:
     def test_circuit_true_on_full_cycle(self, tsp4):
@@ -161,23 +201,23 @@ class TestCheck:
 
 class TestViolations:
     def test_triangle_all_same_color(self, triangle):
-        assert violations(triangle, Assignment(values=(1, 1, 1))) == {"not_equal"}
+        assert violations(triangle, (1, 1, 1)) == {"not_equal"}
 
     def test_feasible_tour(self, tsp4):
-        assert violations(tsp4, Assignment(values=(2, 3, 4, 1))) == set()
+        assert violations(tsp4, (2, 3, 4, 1)) == set()
 
     def test_short_cycle_counts_once(self, tsp4):
         # 1->2->3->1 covers only three of four positions
-        assert violations(tsp4, Assignment(values=(2, 3, 1, 1))) == {"circuit"}
+        assert violations(tsp4, (2, 3, 1, 1)) == {"circuit"}
 
     def test_names_only_the_broken_kinds(self):
         names = ["v1", "v2", "v3", "v4"]
         doc = circuit_model_doc(4)
         doc["constraints"] += [{"kind": "all_different", "scope": names}, {"kind": "not_equal", "scope": names[:2]}]
         model = load_model(doc)
-        assert violations(model, Assignment(values=(2, 1, 4, 3))) == {"circuit"}
-        assert violations(model, Assignment(values=(1, 1, 2, 3))) == {"circuit", "all_different", "not_equal"}
-        assert violations(model, Assignment(values=(2, 3, 4, 1))) == set()
+        assert violations(model, (2, 1, 4, 3)) == {"circuit"}
+        assert violations(model, (1, 1, 2, 3)) == {"circuit", "all_different", "not_equal"}
+        assert violations(model, (2, 3, 4, 1)) == set()
 
 
 class TestRelationPairs:
@@ -265,9 +305,8 @@ class TestCircuitAgainstCycleOracle:
     def test_violations_zero_iff_all_checks_pass(self, n, data):
         model = load_model(circuit_model_doc(n))
         values = tuple(data.draw(st.integers(1, n)) for _ in range(n))
-        assignment = Assignment(values=values)
         all_ok = all(c.satisfied(values) for c in model.constraints)
-        assert (violations(model, assignment) == set()) == all_ok
+        assert (violations(model, values) == set()) == all_ok
 
 
 class TestDistinctnessAgainstOracle:
@@ -300,10 +339,10 @@ class TestDistinctnessAgainstOracle:
 
 class TestObjective:
     def test_four_city_optimal_tour_costs_4(self, tsp4):
-        assert objective(tsp4, Assignment(values=(2, 3, 4, 1))) == 4
+        assert objective(tsp4, (2, 3, 4, 1)) == 4
 
     def test_four_city_cross_tour_costs_6(self, tsp4):
-        assert objective(tsp4, Assignment(values=(3, 4, 2, 1))) == 6
+        assert objective(tsp4, (3, 4, 2, 1)) == 6
 
     def test_4_is_the_exhaustive_minimum(self, tsp4):
         from tests.oracles import best_tour_cost
@@ -311,7 +350,7 @@ class TestObjective:
         assert best_tour_cost(tsp4.objective.matrix) == 4
 
     def test_distinct_count(self, triangle):
-        assert objective(triangle, Assignment(values=(1, 2, 1))) == 2
+        assert objective(triangle, (1, 2, 1)) == 2
 
     @given(perm=st.permutations(range(4)), tour=st.permutations(range(2, 5)))
     def test_relabeling_invariance(self, perm, tour):
@@ -332,8 +371,8 @@ class TestObjective:
         relabeled_values = [0] * 4
         for i in range(4):
             relabeled_values[inverse[i]] = inverse[values[i] - 1] + 1
-        cost_a = objective(model_a, Assignment(values=tuple(values)))
-        cost_b = objective(model_b, Assignment(values=tuple(relabeled_values)))
+        cost_a = objective(model_a, tuple(values))
+        cost_b = objective(model_b, tuple(relabeled_values))
         assert cost_a == cost_b
 
 
@@ -347,7 +386,7 @@ class TestSeedAssignment:
         for seed in range(200):
             assignment = seed_assignment(path5, seed)
             assert is_feasible(path5, assignment)
-            assert len(set(assignment.values)) <= 2
+            assert len(set(assignment)) <= 2
 
     def test_connected_greedy_orders_stay_bipartite_on_path(self):
         # oracle: greedy over every connected order of the 5-path stays at 2 colors

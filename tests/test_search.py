@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from noodle.model import Assignment, InfeasibleError, is_feasible, objective
+from noodle.model import InfeasibleError, is_feasible, objective
 from noodle.search import SearchConfig, hill_climb, solve
 
 from tests.oracles import (
@@ -17,12 +17,12 @@ from tests.oracles import (
 
 def all_tours(n):
     for rest in permutations(range(2, n + 1)):
-        yield Assignment(values=path_to_successors([1, *rest]))
+        yield path_to_successors([1, *rest])
 
 
 class TestHillClimb:
     def test_reaches_the_verified_optimum_from_cost_6(self, tsp4, two_opt):
-        start = Assignment(values=(3, 4, 2, 1))
+        start = (3, 4, 2, 1)
         assert objective(tsp4, start) == 6
         result, cost, steps = hill_climb(tsp4, two_opt, start, SearchConfig(seed=0), random.Random(0))
         assert cost == 4
@@ -36,14 +36,14 @@ class TestHillClimb:
             assert is_feasible(tsp4, result)
 
     def test_max_steps_zero_returns_start(self, tsp4, two_opt):
-        start = Assignment(values=(3, 4, 2, 1))
+        start = (3, 4, 2, 1)
         result, cost, steps = hill_climb(
             tsp4, two_opt, start, SearchConfig(max_steps=0, seed=0), random.Random(0)
         )
         assert result == start and steps == 0
 
     def test_empty_neighborhood_returns_start(self, tsp6, single_swap):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result, cost, steps = hill_climb(
             tsp6, single_swap, start, SearchConfig(seed=0), random.Random(0)
         )
@@ -51,10 +51,10 @@ class TestHillClimb:
 
     def test_infeasible_start_rejected(self, tsp4, two_opt):
         with pytest.raises(InfeasibleError):
-            hill_climb(tsp4, two_opt, Assignment(values=(1, 2, 3, 4)), SearchConfig(seed=0), random.Random(0))
+            hill_climb(tsp4, two_opt, (1, 2, 3, 4), SearchConfig(seed=0), random.Random(0))
 
     def test_result_is_local_optimum_when_converged(self, tsp6, two_opt):
-        start = Assignment(values=(2, 3, 4, 5, 6, 1))
+        start = (2, 3, 4, 5, 6, 1)
         result, _, steps = hill_climb(tsp6, two_opt, start, SearchConfig(seed=3), random.Random(3))
         assert steps < SearchConfig().max_steps
         assert is_local_optimum(tsp6, two_opt, result)
@@ -62,13 +62,13 @@ class TestHillClimb:
     def test_matches_descent_oracle_cost_from_every_start(self, tsp4, two_opt):
         for i, start in enumerate(all_tours(4)):
             _, cost, _ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
-            _, oracle_cost = steepest_two_opt_descent(start.values, tsp4.objective.matrix)
+            _, oracle_cost = steepest_two_opt_descent(start, tsp4.objective.matrix)
             assert cost == oracle_cost
 
     def test_trajectory_stays_feasible_with_strictly_decreasing_cost(self, tsp6, two_opt):
         # replaying the same rng stream with growing step limits exposes
         # every intermediate assignment of the full climb
-        start = Assignment(values=(3, 6, 5, 1, 2, 4))
+        start = (3, 6, 5, 1, 2, 4)
         costs = []
         for limit in range(0, 6):
             result, cost, steps = hill_climb(
@@ -81,26 +81,26 @@ class TestHillClimb:
         assert all(b < a for a, b in zip(costs, costs[1:]))
 
     def test_matches_descent_oracle_cost_on_six_cities(self, tsp6, two_opt):
-        start = Assignment(values=(3, 6, 5, 1, 2, 4))  # the tour 1-3-5-2-6-4
+        start = (3, 6, 5, 1, 2, 4)  # the tour 1-3-5-2-6-4
         assert is_feasible(tsp6, start)
         _, cost, _ = hill_climb(tsp6, two_opt, start, SearchConfig(seed=1), random.Random(1))
-        _, oracle_cost = steepest_two_opt_descent(start.values, tsp6.objective.matrix)
+        _, oracle_cost = steepest_two_opt_descent(start, tsp6.objective.matrix)
         assert cost == pytest.approx(oracle_cost)
 
 
 class TestIsLocalOptimum:
     def test_optimal_tour_is_local_optimum(self, tsp4, two_opt):
-        assert is_local_optimum(tsp4, two_opt, Assignment(values=(2, 3, 4, 1)))
+        assert is_local_optimum(tsp4, two_opt, (2, 3, 4, 1))
 
     def test_cost_six_tour_is_not(self, tsp4, two_opt):
-        assert not is_local_optimum(tsp4, two_opt, Assignment(values=(3, 4, 2, 1)))
+        assert not is_local_optimum(tsp4, two_opt, (3, 4, 2, 1))
 
     def test_empty_neighborhood_is_vacuously_optimal(self, tsp6, single_swap):
-        assert is_local_optimum(tsp6, single_swap, Assignment(values=(2, 3, 4, 5, 6, 1)))
+        assert is_local_optimum(tsp6, single_swap, (2, 3, 4, 5, 6, 1))
 
     def test_infeasible_input_rejected(self, tsp4, two_opt):
         with pytest.raises(InfeasibleError):
-            is_local_optimum(tsp4, two_opt, Assignment(values=(1, 1, 1, 1)))
+            is_local_optimum(tsp4, two_opt, (1, 1, 1, 1))
 
 
 class TestSolve:
