@@ -1,14 +1,19 @@
 """Total, fuel-bounded, nondeterministic NDL interpreter.
 
-``neighbors`` explores every derivation branch of a program depth-first
-and returns the distinct terminal assignments other than the start.
+``neighbors`` compiles the program into one closure per atom, then
+explores every derivation branch depth-first and returns the distinct
+terminal assignments other than the start.
 
 Atom semantics, with R the union of ``ConstraintDecl.pairs`` over the
 constraints a name denotes, on the live state:
 
 * ``constraint(name, a, b)``: with both operands unbound, branch over all
   pairs of R, binding them; with one bound, branch over the matching
-  pairs; with both bound, succeed iff the bound pair is in R.
+  pairs; with both bound, succeed iff the bound pair is in R.  That test
+  asks ``ConstraintDecl.holds`` of each constraint under the name, so R
+  is built only to enumerate.  When every constraint under the name is
+  not_equal, R ignores the state: it is built and sorted once per call,
+  and the test is membership in it.
 * ``swap_values(a, b)``: both bound; exchange the two variables' values,
   failing the branch if either landing value is outside the receiving
   variable's domain.
@@ -30,24 +35,35 @@ constraints a name denotes, on the live state:
 
 Bindings grow monotonically along a branch except for iterate headers,
 which rebind x and y at every step.  Effects in one branch never leak
-into a sibling: state is copied before every write.
+into a sibling: bindings and state are copied before every write.
+
+Which variables are bound at an atom is therefore fixed by the program
+text, so each atom's closure is specialised to its operands' boundness
+when it is compiled.  The one place boundness varies is an iterate body:
+a variable the body binds itself is unbound on the walk's first step and
+bound on every later step, so the body is compiled once for each, with a
+memo on (body, bound set) that keeps nested iterates from doubling per
+level.  Bindings live in a list with one slot per program variable.
 
 A conjunction runs as one depth-first loop over a stack holding an
-outcome iterator per matched atom, so its length never deepens the
-Python stack; only iterate nesting does, and the parser bounds that.
+outcome iterator per matched generator atom (an enumerating constraint
+or an iterate; the tests and effects after it run fused with it), so its
+length never deepens the Python stack; only iterate nesting does, and
+the parser bounds that.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
 interpreter terminates even with unlimited fuel.  Fuel merely bounds the
-cost: when it runs out the remaining branches are abandoned and the
-result is flagged truncated, never an exception.
+cost: one step per atom visit and per walk step; when it runs out the
+remaining branches are abandoned and the result is flagged truncated,
+never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, variables_used
 from noodle.model import Assignment, Model
 
 DEFAULT_FUEL = 1_000_000
@@ -84,15 +100,54 @@ def neighbors(
     """
     model.validate_assignment(start)
     domains = [v.domain for v in model.variables]
-    names = {name for c in model.constraints for name in c.names}
-    by_name = {name: model.constraints_by_name(name) for name in names}
     walk_pos = model.walk_positions()
     walk_scope = model.walk_scope()
     structural = model.structural_constraint()
     chain = dict(zip(walk_scope, walk_scope[1:]))
+    slots = {index: slot for slot, index in enumerate(sorted(variables_used(program)))}
     start_values = tuple(start)
     results: set[tuple[int, ...]] = set()
     remaining = fuel
+    by_name: dict[str, tuple] = {}  # name -> (relation, holds)
+    compiled: dict[tuple, tuple] = {}  # (id(atoms), bound set) -> (conjunction, bound set after)
+
+    def lookup(name: str):
+        """The relation (state -> sorted pairs) and the point test a name denotes."""
+        if name not in by_name:
+            constraints = model.constraints_by_name(name)
+            if all(c.kind == "not_equal" for c in constraints):
+                # the relation ignores the state: build it once, test by membership
+                static = sorted({p for c in constraints for p in c.pairs(start_values)}, reverse=_reverse_pairs)
+                members = frozenset(static)
+
+                def relation(state):
+                    return static
+
+                def holds(state, a, b):
+                    return (a, b) in members
+            elif len(constraints) == 1:  # one constraint's pairs never repeat
+                pairs, holds = constraints[0].pairs, constraints[0].holds
+
+                def relation(state):
+                    return sorted(pairs(state), reverse=_reverse_pairs)
+            else:
+
+                def relation(state):
+                    return sorted({p for c in constraints for p in c.pairs(state)}, reverse=_reverse_pairs)
+
+                def holds(state, a, b):
+                    return any(c.holds(state, a, b) for c in constraints)
+
+            by_name[name] = relation, holds
+        return by_name[name]
+
+    # A compiled conjunction is (head, stages).  Tests and effects compile
+    # to steps: (env, state) -> one outcome or None.  Constraint
+    # enumerations and iterates compile to generators of outcomes.  Each
+    # generator becomes a stage together with the steps that follow it
+    # (fused into one), and steps before the first generator are the
+    # head.  Every atom spends one step of fuel when it starts, in the
+    # same order as if each had a stack level of its own.
 
     def spend() -> None:
         nonlocal remaining
@@ -100,115 +155,193 @@ def neighbors(
             raise _Truncated
         remaining -= 1
 
-    def relation(name: str, state: list[int]) -> list[tuple[int, int]]:
-        constraints = by_name.get(name, ())
-        if len(constraints) == 1:  # one constraint's pairs never repeat
-            pairs = constraints[0].pairs(state)
-        else:
-            pairs = {p for c in constraints for p in c.pairs(state)}
-        return sorted(pairs, reverse=_reverse_pairs)
-
-    def run(atoms, env, state):
-        """Outcomes of a conjunction, depth-first: one iterator per matched atom."""
-        last = len(atoms)
-        stack = [eval_atom(atoms[0], env, state)]
+    def run(conj, env, state):
+        """Outcomes of a compiled conjunction, depth-first: one iterator per stage."""
+        head, stages = conj
+        if head is not None:
+            outcome = head(env, state)
+            if outcome is None:
+                return
+            env, state = outcome
+        last = len(stages)
+        if not last:
+            yield env, state
+            return
+        stack = [stages[0][0](env, state)]
         depth = 1  # len(stack), kept in a local: this loop is the hot path
         while depth:
             for env2, state2 in stack[-1]:
+                tail = stages[depth - 1][1]
+                if tail is not None:
+                    outcome = tail(env2, state2)
+                    if outcome is None:
+                        continue
+                    env2, state2 = outcome
                 if depth == last:
                     yield env2, state2
                 else:
-                    stack.append(eval_atom(atoms[depth], env2, state2))
+                    stack.append(stages[depth][0](env2, state2))
                     depth += 1
                     break
             else:
                 stack.pop()
                 depth -= 1
 
-    def eval_atom(atom, env, state):
-        spend()
-        if isinstance(atom, ConstraintAtom):
-            pairs = relation(atom.name, state)
-            ai, bi = atom.a.index, atom.b.index
-            bound_a, bound_b = env.get(ai), env.get(bi)
-            if bound_a is not None and bound_b is not None:
-                if (bound_a, bound_b) in pairs:
-                    yield env, state
-                return
-            for u, v in pairs:
-                if bound_a is not None and u != bound_a:
-                    continue
-                if bound_b is not None and v != bound_b:
-                    continue
-                if ai == bi and u != v:
-                    continue
-                env2 = dict(env)
-                env2[ai] = u
-                env2[bi] = v
-                yield env2, state
-            return
+    def fuse(steps):
+        """One step running ``steps`` in order, or None for no steps."""
+        if len(steps) <= 1:
+            return steps[0] if steps else None
 
-        if isinstance(atom, Swap):
-            a, b = env.get(atom.a.index), env.get(atom.b.index)
-            if a is None or b is None:
-                return
+        def fused(env, state):
+            for step in steps:
+                outcome = step(env, state)
+                if outcome is None:
+                    return None
+                env, state = outcome
+            return env, state
+
+        return fused
+
+    def compile_conj(atoms, bound: frozenset):
+        """The compiled conjunction and the variables bound after it, memoized."""
+        key = (id(atoms), bound)
+        if key not in compiled:
+            live = set(bound)
+            closures = [COMPILERS[type(atom)](atom, live) for atom in atoms]
+            stages, steps = [], []  # built back to front
+            for closure, is_step in reversed(closures):
+                if is_step:
+                    steps.append(closure)
+                else:
+                    stages.append((closure, fuse(steps[::-1])))
+                    steps = []
+            compiled[key] = (fuse(steps[::-1]), tuple(reversed(stages))), frozenset(live)
+        return compiled[key]
+
+    def fail(env, state):
+        """An effect with an operand the analyzer missed unbound: it spends its step and fails."""
+        spend()
+        return None
+
+    def compile_constraint(atom: ConstraintAtom, bound: set):
+        relation, holds = lookup(atom.name)
+        ai, bi = atom.a.index, atom.b.index
+        sa, sb = slots[ai], slots[bi]
+        a_bound, b_bound = ai in bound, bi in bound
+        bound.update((ai, bi))
+
+        if a_bound and b_bound:
+
+            def test(env, state):
+                spend()
+                return (env, state) if holds(state, env[sa], env[sb]) else None
+
+            return test, True
+
+        same = ai == bi  # constraint(name, t, t) binds t to u only where u == v
+
+        def bind(env, state):
+            spend()
+            a = env[sa] if a_bound else None
+            b = env[sb] if b_bound else None
+            for u, v in relation(state):
+                if (a is None or u == a) and (b is None or v == b) and (u == v or not same):
+                    env2 = env[:]
+                    env2[sa] = u
+                    env2[sb] = v
+                    yield env2, state
+
+        return bind, False
+
+    def compile_swap(atom: Swap, bound: set):
+        if atom.a.index not in bound or atom.b.index not in bound:
+            return fail, True
+        sa, sb = slots[atom.a.index], slots[atom.b.index]
+
+        def swap(env, state):
+            spend()
+            a, b = env[sa], env[sb]
             va, vb = state[a - 1], state[b - 1]
             if vb not in domains[a - 1] or va not in domains[b - 1]:
-                return
-            state2 = list(state)
+                return None
+            state2 = state[:]
             state2[a - 1], state2[b - 1] = vb, va
-            yield env, state2
-            return
+            return env, state2
 
-        if isinstance(atom, Redirect):
-            a, b = env.get(atom.a.index), env.get(atom.b.index)
-            if a is None or b is None:
-                return
-            position = walk_pos.get(b)
+        return swap, True
+
+    def compile_redirect(atom: Redirect, bound: set):
+        if atom.a.index not in bound or atom.b.index not in bound:
+            return fail, True
+        sa, sb = slots[atom.a.index], slots[atom.b.index]
+
+        def redirect(env, state):
+            spend()
+            a = env[sa]
+            position = walk_pos.get(env[sb])
             if position is None or position not in domains[a - 1]:
-                return
-            state2 = list(state)
+                return None
+            state2 = state[:]
             state2[a - 1] = position
-            yield env, state2
-            return
+            return env, state2
 
-        # Iterate.  The successor snapshot is a function of the state at
-        # entry: the structural circuit's pairs (unique per variable) or
-        # the canonical chain; a node outside it has no successor.
-        succ = chain if structural is None else dict(structural.pairs(state))
-        start_binding = env.get(atom.start.index)
-        if start_binding is None:
-            candidates = walk_scope
-        else:
-            candidates = (start_binding,)
-        for start_vid in candidates:
-            walk_env = env
-            if start_binding is None:
-                walk_env = dict(env)
-                walk_env[atom.start.index] = start_vid
-            prefixes = []
-            cur = start_vid
-            walk_state = state
-            for _ in range(len(walk_scope)):
-                nxt = succ.get(cur)
-                if nxt is None or nxt == start_vid:
-                    break
-                if atom.x.index == atom.y.index and cur != nxt:
-                    break
-                spend()
-                env_step = dict(walk_env)
-                env_step[atom.x.index] = cur
-                env_step[atom.y.index] = nxt
-                outcome = next(run(atom.body, env_step, walk_state), None)
-                if outcome is None:
-                    break
-                walk_env, walk_state = outcome
-                prefixes.append((walk_env, walk_state))
-                cur = nxt
-            yield from prefixes
+        return redirect, True
 
+    def first_outcome(conj):
+        """(env, state) -> the conjunction's first outcome or None: committed choice."""
+        head, stages = conj
+        if not stages:
+            return head
+        return lambda env, state: next(run(conj, env, state), None)
+
+    def compile_iterate(atom: Iterate, bound: set):
+        xi, yi, si = atom.x.index, atom.y.index, atom.start.index
+        sx, sy, ss = slots[xi], slots[yi], slots[si]
+        start_bound = si in bound
+        bound.update((xi, yi, si))
+        conj, bound_later = compile_conj(atom.body, frozenset(bound))
+        first = first_outcome(conj)
+        later = first_outcome(compile_conj(atom.body, bound_later)[0])
+        bound |= bound_later
+        same = xi == yi
+        steps = range(len(walk_scope))
+
+        def iterate(env, state):
+            spend()
+            # The successor snapshot is a function of the state at entry:
+            # the structural circuit's pairs (unique per variable) or the
+            # canonical chain; a node outside it has no successor.
+            succ = chain if structural is None else dict(structural.pairs(state))
+            for start_vid in (env[ss],) if start_bound else walk_scope:
+                walk_env = env
+                if not start_bound:
+                    walk_env = env[:]
+                    walk_env[ss] = start_vid
+                prefixes = []
+                cur, walk_state, body = start_vid, state, first
+                for _ in steps:
+                    nxt = succ.get(cur)
+                    if nxt is None or nxt == start_vid or same and cur != nxt:
+                        break
+                    spend()
+                    env_step = walk_env[:]
+                    env_step[sx] = cur
+                    env_step[sy] = nxt
+                    outcome = body(env_step, walk_state)
+                    if outcome is None:
+                        break
+                    walk_env, walk_state = outcome
+                    prefixes.append(outcome)
+                    cur, body = nxt, later
+                yield from prefixes
+
+        return iterate, False
+
+    COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect, Iterate: compile_iterate}
+
+    conj, _ = compile_conj(program.body, frozenset())
     try:
-        for _, state in run(program.body, {}, list(start_values)):
+        for _, state in run(conj, [None] * len(slots), list(start_values)):
             candidate = tuple(state)
             if candidate == start_values or candidate in results:
                 continue

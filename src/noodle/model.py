@@ -1,16 +1,17 @@
 """Constraint-model layer: problem representation, checking, and sampling.
 
-A model declares integer variables with finite domains (an interval
-holds at most `MAX_DOMAIN_SIZE` values), named variable groups, and
-constraints drawn from a small catalog (circuit, all_different,
-not_equal).  An assignment is a plain tuple of ints;
+A model declares integer variables with finite domains (interval
+domains hold at most `MAX_DOMAIN_SIZE` values in total), named variable
+groups, and constraints drawn from a small catalog (circuit,
+all_different, not_equal).  An assignment is a plain tuple of ints;
 `validate_assignment` checks one against a model.  Each kind's meaning
-is defined once, on `ConstraintDecl`: `satisfied` and `pairs`, the
-binary relation over variables a constraint induces, which the NDL
-interpreter enumerates.  `violations` names the kinds an assignment
-breaks, and `is_feasible` whether it breaks none.  Domains double as the
-pruning mechanism for degenerate moves (an effect writing an
-out-of-domain value kills its derivation branch).
+is defined once, on `ConstraintDecl`: `satisfied`; `pairs`, the binary
+relation over variables a constraint induces, which the NDL interpreter
+enumerates; and `holds`, the point query on that relation, which
+answers the interpreter's tests.  `violations` names the kinds an
+assignment breaks, and `is_feasible` whether it breaks none.  Domains
+double as the pruning mechanism for degenerate moves (an effect writing
+an out-of-domain value kills its derivation branch).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from noodle.lang.parser import IDENT_RE
 
 CONSTRAINT_KINDS = ("circuit", "all_different", "not_equal")
 OBJECTIVE_KINDS = ("none", "next_cost", "distinct_count")
-MAX_DOMAIN_SIZE = 1_000_000  # values in one interval domain, checked before it is built
+MAX_DOMAIN_SIZE = 1_000_000  # values in all interval domains together, checked before each is built
 
 
 class ModelError(ValueError):
@@ -98,6 +100,21 @@ class ConstraintDecl:
                         pairs += [(a, b), (b, a)]
         return pairs
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        """1-based position of each scope variable, built on the first ``holds``."""
+        return {vid: i + 1 for i, vid in enumerate(self.scope)}
+
+    def holds(self, values: tuple[int, ...], a: int, b: int) -> bool:
+        """Whether ``(a, b) in self.pairs(values)``, answered without building the relation."""
+        if self.kind == "circuit":
+            positions = self._positions
+            return a in positions and values[a - 1] == positions.get(b)
+        if self.kind == "not_equal":
+            return (a, b) == self.scope or (b, a) == self.scope
+        positions = self._positions
+        return a != b and a in positions and b in positions and values[a - 1] == values[b - 1]
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -170,14 +187,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_domain(spec, path: str) -> frozenset[int]:
+def _parse_domain(spec, path: str, room: int) -> frozenset[int]:
+    """A variable's domain; an interval may hold at most ``room`` values."""
     _require(isinstance(spec, dict), "domain must be an object", path)
     if "lo" in spec or "hi" in spec:
         _require("lo" in spec and "hi" in spec, "interval domain needs both 'lo' and 'hi'", path)
         lo, hi = spec["lo"], spec["hi"]
         _require(_is_int(lo) and _is_int(hi), "interval bounds must be integers", path)
         _require(lo <= hi, "empty domain", path)
-        _require(hi - lo < MAX_DOMAIN_SIZE, f"interval domain has more than {MAX_DOMAIN_SIZE:,} values", path)
+        _require(
+            hi - lo < room,
+            f"interval domain has more than {MAX_DOMAIN_SIZE:,} values, counting the interval domains before it",
+            path,
+        )
         return frozenset(range(lo, hi + 1))
     if "set" in spec:
         values = spec["set"]
@@ -213,13 +235,17 @@ def load_model(document) -> Model:
     _require(isinstance(raw_vars, list) and raw_vars, "variables must be a non-empty list", "variables")
     variables = []
     ids_by_name: dict[str, int] = {}
+    room = MAX_DOMAIN_SIZE  # interval values the document may still build
     for i, rv in enumerate(raw_vars):
         path = f"variables[{i}]"
         _require(isinstance(rv, dict), "variable must be an object", path)
         vname = rv.get("name")
         _require(isinstance(vname, str) and vname, "variable needs a name", f"{path}.name")
         _require(vname not in ids_by_name, f"duplicate variable name {vname!r}", f"{path}.name")
-        domain = _parse_domain(rv.get("domain"), f"{path}.domain")
+        spec = rv.get("domain")
+        domain = _parse_domain(spec, f"{path}.domain", room)
+        if "lo" in spec:  # parsed, so an interval
+            room -= len(domain)
         vid = i + 1
         ids_by_name[vname] = vid
         variables.append(VarDecl(id=vid, name=vname, domain=domain))

@@ -64,6 +64,15 @@ class TestCheck:
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
         assert proc.stderr.startswith(f"error: {model}: variables[0].domain: interval domain has more than")
 
+    def test_interval_domains_over_the_total_exit_two(self, tmp_path):
+        model = tmp_path / "wide.json"
+        half = {"lo": 1, "hi": 600_000}
+        model.write_text(json.dumps({"variables": [{"name": "a", "domain": half}, {"name": "b", "domain": half}]}))
+        proc = run_cli("check", str(model))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {model}: variables[1].domain: interval domain has more than")
+
     def test_non_utf8_model_exits_two(self, tmp_path):
         model = tmp_path / "latin1.json"
         model.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))

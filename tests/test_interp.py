@@ -181,11 +181,53 @@ class TestSafetyProperties:
         assert all(is_tour(a) for a in result.assignments)
 
 
+def assert_matches_reference(program, model, start, **options):
+    ours = neighbors(program, model, start, **options)
+    ref = reference_neighbors(program, model, start, **options)
+    assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)
+
+
+def random_start(model, seed):
+    """Values drawn from each domain: conflicts included, unlike ``seed_assignment``."""
+    rng = random.Random(seed)
+    return tuple(rng.choice(sorted(v.domain)) for v in model.variables)
+
+
+# all_different over a group its domains cannot fill: the relation is the
+# live conflict pairs, so it changes with every effect
+ALL_DIFFERENT5 = load_model({
+    "name": "all_different5",
+    "variables": [{"name": f"v{i}", "domain": {"lo": 1, "hi": 3}} for i in range(1, 6)],
+    "groups": {"g": [f"v{i}" for i in range(1, 6)]},
+    "constraints": [{"kind": "all_different", "scope": "g"}],
+})
+
+# one name, two state-dependent constraints: "link" is the union of the
+# circuit's successor pairs and the conflict pairs of n1..n3
+SHARED_NAME5 = load_model({
+    "name": "shared_name5",
+    "variables": [{"name": f"n{i}", "domain": {"lo": 1, "hi": 5}} for i in range(1, 6)],
+    "groups": {"next": [f"n{i}" for i in range(1, 6)]},
+    "constraints": [
+        {"kind": "circuit", "scope": "next", "alias": "link"},
+        {"kind": "all_different", "scope": ["n1", "n2", "n3"], "alias": "link"},
+    ],
+    "structural": 0,
+})
+
+# a body variable bound by the body itself is unbound on the walk's first
+# step and bound, so a test, on every later step
+ITERATE_REBINDING = [
+    "iterate(t1 - t2, t0, (constraint(all_diff_next, t3, t4), redirect(t1, t4)))",
+    "iterate(t1 - t2, t0, (iterate(t5 - t6, t2, (constraint(all_diff_next, t3, t4), redirect(t5, t4)))))",
+]
+
+
 class TestAgainstReference:
     """Results, truncation and the exact stop step match the recursive reference."""
 
     @staticmethod
-    def assert_same(model, genome_seed, sample_seed, fuel, cap):
+    def assert_same(model, genome_seed, start, fuel, cap):
         # random 80-codon genomes, as evolution draws them, until one maps
         # to a program that passes the analyzer
         grammar = derive_grammar(model, budget=6)
@@ -194,24 +236,41 @@ class TestAgainstReference:
             outcome = map_genome(grammar, [rng.randrange(256) for _ in range(80)])
             if outcome.ok and analyze(outcome.program, model).ok:
                 break
-        start = seed_assignment(model, sample_seed)
-        ours = neighbors(outcome.program, model, start, fuel=fuel, cap=cap)
-        ref = reference_neighbors(outcome.program, model, start, fuel=fuel, cap=cap)
-        assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)
+        assert_matches_reference(outcome.program, model, start, fuel=fuel, cap=cap)
 
     @settings(max_examples=300, deadline=None)
     @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
     def test_tsp6(self, genome_seed, sample_seed, fuel, cap, tsp6):
-        self.assert_same(tsp6, genome_seed, sample_seed, fuel, cap)
+        self.assert_same(tsp6, genome_seed, seed_assignment(tsp6, sample_seed), fuel, cap)
 
     @settings(max_examples=300, deadline=None)
     @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
     def test_not_equal_triangle(self, genome_seed, sample_seed, fuel, cap, triangle):
-        self.assert_same(triangle, genome_seed, sample_seed, fuel, cap)
+        self.assert_same(triangle, genome_seed, seed_assignment(triangle, sample_seed), fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
+    def test_all_different_relation_follows_state(self, genome_seed, sample_seed, fuel, cap):
+        self.assert_same(ALL_DIFFERENT5, genome_seed, random_start(ALL_DIFFERENT5, sample_seed), fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
+    def test_one_name_two_constraints(self, genome_seed, sample_seed, fuel, cap):
+        self.assert_same(SHARED_NAME5, genome_seed, random_start(SHARED_NAME5, sample_seed), fuel, cap)
+
+    @pytest.mark.parametrize("text", ITERATE_REBINDING)
+    def test_iterate_body_binding_becomes_test_after_first_step(self, text, tsp6):
+        program = parse(text)
+        for seed in range(30):
+            assert_matches_reference(program, tsp6, seed_assignment(tsp6, seed))
 
     @pytest.mark.parametrize("fuel", [500, 1_000_000])
     def test_two_opt_reversed(self, fuel, tsp6, two_opt):
-        start = (2, 3, 4, 5, 6, 1)
-        ours = neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
-        ref = reference_neighbors(two_opt, tsp6, start, fuel=fuel, _reverse_pairs=True)
-        assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)
+        assert_matches_reference(two_opt, tsp6, (2, 3, 4, 5, 6, 1), fuel=fuel, _reverse_pairs=True)
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_not_equal_reversed(self, cap, triangle):
+        # the not_equal relation is built once per call; a cap of one keeps
+        # only the first branch, so the build must honour the order too
+        program = parse("constraint(not_equal, t0, t1), swap_values(t0, t1)")
+        assert_matches_reference(program, triangle, (1, 2, 3), cap=cap, _reverse_pairs=True)

@@ -154,6 +154,14 @@ class TestLoadModel:
             load_model(doc)
         assert err.value.path == "variables[1].domain"
 
+    def test_interval_domains_bounded_in_total(self):
+        # each interval is under the limit; the second crosses it in sum
+        half = {"lo": 1, "hi": 600_000}
+        doc = {"variables": [{"name": "a", "domain": half}, {"name": "b", "domain": half}]}
+        with pytest.raises(ModelError, match="more than 1,000,000 values") as err:
+            load_model(doc)
+        assert err.value.path == "variables[1].domain"
+
 
 JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON_VALUES = st.recursive(
@@ -276,6 +284,28 @@ class TestRelationPairs:
         for constraint in load_model(doc).constraints:
             pairs = constraint.pairs(values)
             assert len(pairs) == len(set(pairs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(2, 7), data=st.data())
+    def test_holds_is_membership_in_pairs(self, total, data):
+        # scopes are drawn subsets in drawn order, so some ids fall outside
+        # them; every id pair is asked, a == b included
+        names = [f"v{i}" for i in range(1, total + 1)]
+        scope = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=total, unique=True))
+        doc = {
+            "name": "mixed",
+            "variables": [{"name": v, "domain": {"lo": 1, "hi": len(scope)}} for v in names],
+            "constraints": [
+                {"kind": "circuit", "scope": scope},
+                {"kind": "all_different", "scope": scope},
+                {"kind": "not_equal", "scope": scope[:2]},
+            ],
+        }
+        values = tuple(data.draw(st.integers(0, len(scope) + 1)) for _ in names)
+        for constraint in load_model(doc).constraints:
+            pairs = set(constraint.pairs(values))
+            for a, b in itertools.product(range(1, total + 1), repeat=2):
+                assert constraint.holds(values, a, b) == ((a, b) in pairs), (constraint.kind, a, b)
 
 
 class TestCircuitAgainstCycleOracle:
