@@ -6,7 +6,8 @@ satisfied across every inspected neighbor, not only the feasible ones:
 an operator preserves a kind only if no generated neighbor violates it.
 Fitness comparison is lexicographic: tier (VALID > BARREN >
 STATIC_REJECT), then kinds preserved, then productivity (the smallest
-per-sample count of feasible neighbors), then fewer atoms.
+per-sample count of feasible neighbors), then fewer atoms.  `evolve`
+scores each program once per run up to variable renaming.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from noodle.grammar import (
     map_genome,
 )
 from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
-from noodle.lang.ast import Program, atom_count, render
+from noodle.lang.ast import Program, atom_count, render, renamed
 from noodle.lang.interp import neighbors
 from noodle.model import Assignment, Model, seed_assignment, violations
 from noodle.util import split_seed
@@ -224,7 +225,11 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
         for _ in range(config.population_size)
     ]
 
-    # one fitness per distinct program text over the whole run
+    # one fitness per program up to variable renaming over the whole run,
+    # keyed on the raw text and, on a miss, on the renamed raw text: a
+    # mapped program uses only t0..t{budget-1}, so renaming moves neither
+    # its analysis nor its fitness.  Optimized text is no key: dropping a
+    # self-swap can turn a BARREN program's text into a STATIC_REJECT one's.
     memo: dict[str, Fitness] = {}
     best_genome = population[0]
     best_fitness = None
@@ -244,14 +249,17 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
                 continue
             text = render(outcome.program)
             if text not in memo:
-                memo[text] = evaluate_fitness(
-                    outcome.program,
-                    model,
-                    samples,
-                    fuel=config.fuel,
-                    cap=config.inspection_cap,
-                    budget=config.var_budget,
-                )
+                key = render(renamed(outcome.program))
+                if key not in memo:
+                    memo[key] = evaluate_fitness(
+                        outcome.program,
+                        model,
+                        samples,
+                        fuel=config.fuel,
+                        cap=config.inspection_cap,
+                        budget=config.var_budget,
+                    )
+                memo[text] = memo[key]
             fitnesses.append(memo[text])
 
         order = sorted(range(len(population)), key=lambda i: fitnesses[i].key(), reverse=True)

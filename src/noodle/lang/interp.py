@@ -2,7 +2,10 @@
 
 ``neighbors`` compiles the program into one closure per atom, then
 explores every derivation branch depth-first and returns the distinct
-terminal assignments other than the start.
+terminal assignments other than the start.  A program is compiled once
+per (program, model) pair and reused across starts: the last compile is
+kept while the same objects come back, as in one fitness evaluation's
+samples or one climb's steps.
 
 Atom semantics, with R the union of ``ConstraintDecl.pairs`` over the
 constraints a name denotes, on the live state:
@@ -84,6 +87,11 @@ class _Truncated(Exception):
     pass
 
 
+# (program, model, _reverse_pairs, explore) of the last compile, matched by
+# identity.  Its runs share one fuel counter: noodle runs single threaded.
+_last: tuple | None = None
+
+
 def neighbors(
     program: Program,
     model: Model,
@@ -98,16 +106,22 @@ def neighbors(
     slipped past it (unbound effect operands at run time) simply fail
     their branches.  ``start`` is never mutated.
     """
+    global _last
     model.validate_assignment(start)
+    if _last is None or _last[0] is not program or _last[1] is not model or _last[2] != _reverse_pairs:
+        _last = program, model, _reverse_pairs, _compile(program, model, _reverse_pairs)
+    return _last[3](tuple(start), fuel, cap)
+
+
+def _compile(program: Program, model: Model, _reverse_pairs: bool):
+    """``explore(start, fuel, cap) -> NeighborSet`` for ``program`` on ``model``."""
     domains = [v.domain for v in model.variables]
     walk_pos = model.walk_positions()
     walk_scope = model.walk_scope()
-    structural = model.structural_constraint()
+    structural = model.structural_constraint() is not None
     chain = dict(zip(walk_scope, walk_scope[1:]))
     slots = {index: slot for slot, index in enumerate(sorted(variables_used(program)))}
-    start_values = tuple(start)
-    results: set[tuple[int, ...]] = set()
-    remaining = fuel
+    remaining = 0
     by_name: dict[str, tuple] = {}  # name -> (relation, holds)
     compiled: dict[tuple, tuple] = {}  # (id(atoms), bound set) -> (conjunction, bound set after)
 
@@ -117,7 +131,7 @@ def neighbors(
             constraints = model.constraints_by_name(name)
             if all(c.kind == "not_equal" for c in constraints):
                 # the relation ignores the state: build it once, test by membership
-                static = sorted({p for c in constraints for p in c.pairs(start_values)}, reverse=_reverse_pairs)
+                static = sorted({p for c in constraints for p in c.pairs(())}, reverse=_reverse_pairs)
                 members = frozenset(static)
 
                 def relation(state):
@@ -308,10 +322,9 @@ def neighbors(
 
         def iterate(env, state):
             spend()
-            # The successor snapshot is a function of the state at entry:
-            # the structural circuit's pairs (unique per variable) or the
-            # canonical chain; a node outside it has no successor.
-            succ = chain if structural is None else dict(structural.pairs(state))
+            # Successors are read from the state at entry, which effects
+            # copy rather than write: the structural circuit's (its domains
+            # hold only scope positions) or the canonical chain's.
             for start_vid in (env[ss],) if start_bound else walk_scope:
                 walk_env = env
                 if not start_bound:
@@ -320,7 +333,10 @@ def neighbors(
                 prefixes = []
                 cur, walk_state, body = start_vid, state, first
                 for _ in steps:
-                    nxt = succ.get(cur)
+                    if structural:
+                        nxt = walk_scope[state[cur - 1] - 1] if cur in walk_pos else None
+                    else:
+                        nxt = chain.get(cur)
                     if nxt is None or nxt == start_vid or same and cur != nxt:
                         break
                     spend()
@@ -340,16 +356,22 @@ def neighbors(
     COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect, Iterate: compile_iterate}
 
     conj, _ = compile_conj(program.body, frozenset())
-    try:
-        for _, state in run(conj, [None] * len(slots), list(start_values)):
-            candidate = tuple(state)
-            if candidate == start_values or candidate in results:
-                continue
-            if len(results) >= cap:
-                raise _Truncated
-            results.add(candidate)
-        truncated = False
-    except _Truncated:
-        truncated = True
 
-    return NeighborSet(assignments=tuple(sorted(results)), truncated=truncated, steps_used=fuel - remaining)
+    def explore(start_values: Assignment, fuel: int, cap: int) -> NeighborSet:
+        nonlocal remaining
+        remaining = fuel
+        results: set[tuple[int, ...]] = set()
+        try:
+            for _, state in run(conj, [None] * len(slots), list(start_values)):
+                candidate = tuple(state)
+                if candidate == start_values or candidate in results:
+                    continue
+                if len(results) >= cap:
+                    raise _Truncated
+                results.add(candidate)
+            truncated = False
+        except _Truncated:
+            truncated = True
+        return NeighborSet(assignments=tuple(sorted(results)), truncated=truncated, steps_used=fuel - remaining)
+
+    return explore

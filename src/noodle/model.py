@@ -62,6 +62,9 @@ class ConstraintDecl:
     def satisfied(self, values: tuple[int, ...]) -> bool:
         """Satisfaction under ``values``: for circuit, one cycle covering every scope
         position; for all_different and not_equal (a 2-scope all_different), no equal scope values."""
+        if self.kind == "not_equal":
+            a, b = self.scope
+            return values[a - 1] != values[b - 1]
         if self.kind == "circuit":
             n = len(self.scope)
             pos = 1

@@ -1,11 +1,16 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import noodle.evolution
 from noodle.evolution import EvolutionConfig, Fitness, evaluate_fitness, evolve, sample_seeds_for, vary
 from noodle.grammar import derive_grammar, map_genome
-from noodle.lang.analyzer import optimize
+from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, optimize
+from noodle.lang.ast import render, renamed, variables_used
 from noodle.lang.parser import parse
 from noodle.model import seed_assignment
 
@@ -161,3 +166,59 @@ class TestEvolve:
             EvolutionConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=0)
+
+
+genomes = st.lists(st.integers(0, 255), min_size=80, max_size=80)
+
+
+class TestRenamed:
+    """evolve memoizes fitness on the renamed raw text, so renaming must not move a fitness."""
+
+    @staticmethod
+    def assert_renaming_is_invisible(model, genome):
+        outcome = map_genome(derive_grammar(model, budget=DEFAULT_VAR_BUDGET), genome)
+        assume(outcome.ok)
+        program = outcome.program
+        used = variables_used(program)
+        assert used <= set(range(DEFAULT_VAR_BUDGET))
+        once = renamed(program)
+        assert renamed(once) == once
+        assert parse(render(once)) == once
+        assert variables_used(once) == set(range(len(used)))
+        samples = samples_for(model)
+        assert asdict(evaluate_fitness(program, model, samples)) == asdict(evaluate_fitness(once, model, samples))
+
+    @settings(max_examples=150, deadline=None)
+    @given(genome=genomes)
+    def test_tsp6(self, genome, tsp6):
+        self.assert_renaming_is_invisible(tsp6, genome)
+
+    @settings(max_examples=150, deadline=None)
+    @given(genome=genomes)
+    def test_coloring_triangle(self, genome, triangle):
+        self.assert_renaming_is_invisible(triangle, genome)
+
+    def test_first_occurrence_order(self):
+        program = parse("iterate(t4 - t2, t5, (constraint(c, t0, t4), swap_values(t0, t2)))")
+        assert render(renamed(program)) == "iterate(t0 - t1, t2, (constraint(c, t3, t0), swap_values(t3, t1)))"
+
+    def test_optimized_text_is_no_memo_key(self, tsp6):
+        # optimizing drops the only effect, a self-swap: the program is
+        # BARREN, while its optimized text alone fails analysis
+        raw = parse("constraint(all_diff_next, t0, t1), swap_values(t1, t1)")
+        samples = samples_for(tsp6)
+        assert evaluate_fitness(raw, tsp6, samples).tier == "BARREN"
+        rejected = evaluate_fitness(parse(render(renamed(optimize(raw)))), tsp6, samples)
+        assert (rejected.tier, rejected.notes) == ("STATIC_REJECT", ("NO_EFFECT",))
+        assert render(renamed(raw)) != render(renamed(optimize(raw)))
+
+    def test_evolve_scores_each_program_once_up_to_renaming(self, tsp6, monkeypatch):
+        keys = []
+
+        def counted(program, *args, **kwargs):
+            keys.append(render(renamed(program)))
+            return evaluate_fitness(program, *args, **kwargs)
+
+        monkeypatch.setattr(noodle.evolution, "evaluate_fitness", counted)
+        evolve(tsp6, EvolutionConfig(population_size=40, generations=6, seed=9))
+        assert keys and len(keys) == len(set(keys))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noodle.grammar import derive_grammar, map_genome
+from noodle.lang import interp
 from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import MAX_ITERATE_NESTING, parse
@@ -274,3 +275,33 @@ class TestAgainstReference:
         # only the first branch, so the build must honour the order too
         program = parse("constraint(not_equal, t0, t1), swap_values(t0, t1)")
         assert_matches_reference(program, triangle, (1, 2, 3), cap=cap, _reverse_pairs=True)
+
+
+class TestCompiledReuse:
+    """Calls with the same program and model reuse one compile; fuel, cap and results start afresh."""
+
+    def test_repeated_calls_match_reference(self, tsp6, two_opt, triangle, single_swap):
+        not_equal_swap = parse("constraint(not_equal, t0, t1), swap_values(t0, t1)")
+        calls = [
+            (two_opt, tsp6, 1, {"fuel": 50}),  # fuel truncates
+            (two_opt, tsp6, 2, {"cap": 3}),  # cap is hit
+            (two_opt, tsp6, 3, {}),  # full fuel
+            (not_equal_swap, triangle, 4, {"cap": 1}),  # second program, second model
+            (two_opt, tsp6, 5, {"fuel": 50}),
+            (single_swap, tsp6, 6, {}),  # second program, same model
+            (two_opt, tsp6, 7, {"cap": 3}),
+            (two_opt, triangle, 8, {"fuel": 3}),  # same program, second model
+            (two_opt, tsp6, 9, {}),
+        ]
+        truncated = []
+        for program, model, seed, options in calls:
+            start = seed_assignment(model, seed)
+            assert_matches_reference(program, model, start, **options)
+            truncated.append(neighbors(program, model, start, **options).truncated)
+        assert truncated[:3] == [True, True, False]
+
+    def test_same_objects_keep_the_compile(self, tsp6, two_opt):
+        neighbors(two_opt, tsp6, seed_assignment(tsp6, 1))
+        explore = interp._last[3]
+        neighbors(two_opt, tsp6, seed_assignment(tsp6, 2), fuel=10, cap=1)
+        assert interp._last[3] is explore

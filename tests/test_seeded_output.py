@@ -1,8 +1,10 @@
 """The seeded-output contract: a workload's output digest equals the stored one.
 
 perfbench only warns when a digest differs; this makes the solve-tsp20
-digest a test.  It builds the inputs with perfbench's own workload code
-(read, never edited) and runs the same call the benchmark times.
+and synth-color12 digests tests (the first runs the hill climber, the
+second the evolution loop and its fitness memo).  They build the inputs
+with perfbench's own workload code (read, never edited) and run the same
+calls the benchmark times.
 """
 
 import contextlib
@@ -30,10 +32,18 @@ class NoSpans:
         return contextlib.nullcontext()
 
 
-def test_solve_tsp20_digest_matches_expected():
+def assert_digest_matches_expected(name: str):
     workloads = perfbench_workloads()
-    workload = workloads.WORKLOADS["solve-tsp20"]
+    workload = workloads.WORKLOADS[name]
     prepared = workload.prepare(noodle, ROOT)
     outputs = [workload.call(noodle, prepared, i, NoSpans()) for i in range(len(prepared.configs))]
-    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["outputs"]["solve-tsp20"]
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["outputs"][name]
     assert workloads.sha256("".join(outputs)) == expected
+
+
+def test_solve_tsp20_digest_matches_expected():
+    assert_digest_matches_expected("solve-tsp20")
+
+
+def test_synth_color12_digest_matches_expected():
+    assert_digest_matches_expected("synth-color12")
