@@ -40,7 +40,6 @@ class Fitness:
     preserved: int = 0
     productivity: int = 0
     size_penalty: int = 0
-    fuel_used: int = field(default=0, compare=False)
     notes: tuple[str, ...] = field(default=(), compare=False)
 
     def key(self) -> tuple:
@@ -141,8 +140,8 @@ def evaluate_fitness(
     """Score one candidate program against feasible sample assignments.
 
     Analyzer errors are rejected without running the interpreter (tier
-    STATIC_REJECT, zero fuel).  Producing no neighbor at all on some
-    sample is tier BARREN.  Otherwise the candidate is VALID:
+    STATIC_REJECT).  Producing no neighbor at all on some sample is tier
+    BARREN.  Otherwise the candidate is VALID:
     ``preserved`` counts the model's constraint kinds that `violations`
     names for no inspected neighbor, ``productivity`` the smallest
     per-sample count of feasible neighbors (those it names no kind for),
@@ -158,15 +157,13 @@ def evaluate_fitness(
     kinds = {c.kind for c in model.constraints}
     broken: set[str] = set()
     productivity = None
-    fuel_used = 0
     notes: list[str] = []
     for sample in samples:
         result = neighbors(optimized, model, sample, fuel=fuel, cap=cap)
-        fuel_used += result.steps_used
         if result.truncated and "TRUNCATED" not in notes:
             notes.append("TRUNCATED")
         if len(result) == 0:
-            return Fitness(tier="BARREN", size_penalty=size, fuel_used=fuel_used, notes=tuple(notes))
+            return Fitness(tier="BARREN", size_penalty=size, notes=tuple(notes))
         feasible = 0
         for nb in result.assignments:
             violated = violations(model, nb)
@@ -178,7 +175,6 @@ def evaluate_fitness(
         preserved=len(kinds - broken),
         productivity=min(productivity, cap),
         size_penalty=size,
-        fuel_used=fuel_used,
         notes=tuple(notes),
     )
 

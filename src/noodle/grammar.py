@@ -30,12 +30,7 @@ Symbol = tuple[str, str]  # (NT, "<conj>") or (T, "constraint(")
 # (symbols, build): build takes the values of the symbols' nonterminals in
 # order; an alternative without nonterminals holds its value as build
 Alternative = tuple[tuple[Symbol, ...], Any]
-
-
-@dataclass(frozen=True)
-class Grammar:
-    rules: tuple[tuple[str, tuple[Alternative, ...]], ...]
-    start: str = "<program>"
+Grammar = dict[str, tuple[Alternative, ...]]  # left-hand side -> alternatives, "<program>" first
 
 
 @dataclass(frozen=True)
@@ -75,22 +70,21 @@ def derive_grammar(model: Model, budget: int = 6) -> Grammar:
     names = model.constraint_names()
     atoms = ("<test>", "<effect>", "<loop>") if names else ("<effect>", "<loop>")
 
-    rules = (
-        ("<program>", (((nt("<conj>"),), Program),)),
-        ("<conj>", (((nt("<atom>"),), lambda atom: (atom,)), ((nt("<atom>"), t(","), nt("<conj>")), lambda atom, rest: (atom, *rest)))),
-        ("<atom>", tuple(((nt(atom),), lambda value: value) for atom in atoms)),
-        ("<test>", (((t("constraint("), nt("<cname>"), t(","), nt("<var>"), t(","), nt("<var>"), t(")")), ConstraintAtom),)),
-        ("<effect>", tuple(effect_alts)),
-        (
-            "<loop>",
-            (((t("iterate("), nt("<var>"), t("-"), nt("<var>"), t(","), nt("<var>"), t(","), t("("), nt("<conj>"), t(")"), t(")")), Iterate),),
+    rules = {
+        "<program>": (((nt("<conj>"),), Program),),
+        "<conj>": (((nt("<atom>"),), lambda atom: (atom,)), ((nt("<atom>"), t(","), nt("<conj>")), lambda atom, rest: (atom, *rest))),
+        "<atom>": tuple(((nt(atom),), lambda value: value) for atom in atoms),
+        "<test>": (((t("constraint("), nt("<cname>"), t(","), nt("<var>"), t(","), nt("<var>"), t(")")), ConstraintAtom),),
+        "<effect>": tuple(effect_alts),
+        "<loop>": (
+            ((t("iterate("), nt("<var>"), t("-"), nt("<var>"), t(","), nt("<var>"), t(","), t("("), nt("<conj>"), t(")"), t(")")), Iterate),
         ),
-        ("<cname>", tuple(((t(name),), name) for name in names)),
-        ("<var>", tuple(((t(f"t{i}"),), Var(i)) for i in range(budget))),
-    )
+        "<cname>": tuple(((t(name),), name) for name in names),
+        "<var>": tuple(((t(f"t{i}"),), Var(i)) for i in range(budget)),
+    }
     if not names:
-        rules = tuple(rule for rule in rules if rule[0] not in ("<test>", "<cname>"))
-    return Grammar(rules=rules)
+        del rules["<test>"], rules["<cname>"]
+    return rules
 
 
 def map_genome(
@@ -108,10 +102,9 @@ def map_genome(
     """
     if not genome:
         raise ValueError("genome must be non-empty")
-    rules = dict(grammar.rules)
     budget = len(genome) * (wrap_limit + 1)
     reads = 0
-    work = [(grammar.start, 0)]  # nonterminals left to expand, leftmost last
+    work = [("<program>", 0)]  # nonterminals left to expand, leftmost last
     chosen = []  # (build, arity) of each expansion, in pre-order
     while work:
         name, depth = work.pop()
@@ -121,7 +114,7 @@ def map_genome(
             return MappingOutcome(program=None, consumed=reads, invalid="WRAP_LIMIT")
         codon = genome[reads % len(genome)]
         reads += 1
-        alts = rules[name]
+        alts = grammar[name]
         symbols, build = alts[codon % len(alts)]
         children = [(text, depth + 1) for kind, text in symbols if kind == NT]
         chosen.append((build, len(children)))
@@ -140,7 +133,7 @@ def map_genome(
 def render_grammar(grammar: Grammar) -> str:
     """BNF text with one left-hand side per line, alternative order preserved."""
     lines = []
-    for lhs, alts in grammar.rules:
+    for lhs, alts in grammar.items():
         rendered = []
         for symbols, _ in alts:
             rendered.append(" ".join(sym if kind == NT else f'"{sym}"' for kind, sym in symbols))

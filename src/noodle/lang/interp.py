@@ -15,8 +15,8 @@ constraints a name denotes, on the live state:
   pairs; with both bound, succeed iff the bound pair is in R.  That test
   asks ``ConstraintDecl.holds`` of each constraint under the name, so R
   is built only to enumerate.  When every constraint under the name is
-  not_equal, R ignores the state: it is built and sorted once per call,
-  and the test is membership in it.
+  not_equal, R ignores the state: it is built and sorted once per
+  compile, and the test is membership in it.
 * ``swap_values(a, b)``: both bound; exchange the two variables' values,
   failing the branch if either landing value is outside the receiving
   variable's domain.
@@ -87,8 +87,8 @@ class _Truncated(Exception):
     pass
 
 
-# (program, model, _reverse_pairs, explore) of the last compile, matched by
-# identity.  Its runs share one fuel counter: noodle runs single threaded.
+# (program, model, explore) of the last compile, matched by identity.
+# Its runs share one fuel counter: noodle runs single threaded.
 _last: tuple | None = None
 
 
@@ -98,7 +98,6 @@ def neighbors(
     start: Assignment,
     fuel: int = DEFAULT_FUEL,
     cap: int = DEFAULT_CAP,
-    _reverse_pairs: bool = False,
 ) -> NeighborSet:
     """Materialize the neighborhood of ``start`` under ``program``.
 
@@ -108,12 +107,12 @@ def neighbors(
     """
     global _last
     model.validate_assignment(start)
-    if _last is None or _last[0] is not program or _last[1] is not model or _last[2] != _reverse_pairs:
-        _last = program, model, _reverse_pairs, _compile(program, model, _reverse_pairs)
-    return _last[3](tuple(start), fuel, cap)
+    if _last is None or _last[0] is not program or _last[1] is not model:
+        _last = program, model, _compile(program, model)
+    return _last[2](tuple(start), fuel, cap)
 
 
-def _compile(program: Program, model: Model, _reverse_pairs: bool):
+def _compile(program: Program, model: Model):
     """``explore(start, fuel, cap) -> NeighborSet`` for ``program`` on ``model``."""
     domains = [v.domain for v in model.variables]
     walk_pos = model.walk_positions()
@@ -131,7 +130,7 @@ def _compile(program: Program, model: Model, _reverse_pairs: bool):
             constraints = model.constraints_by_name(name)
             if all(c.kind == "not_equal" for c in constraints):
                 # the relation ignores the state: build it once, test by membership
-                static = sorted({p for c in constraints for p in c.pairs(())}, reverse=_reverse_pairs)
+                static = sorted({p for c in constraints for p in c.pairs(())})
                 members = frozenset(static)
 
                 def relation(state):
@@ -143,11 +142,11 @@ def _compile(program: Program, model: Model, _reverse_pairs: bool):
                 pairs, holds = constraints[0].pairs, constraints[0].holds
 
                 def relation(state):
-                    return sorted(pairs(state), reverse=_reverse_pairs)
+                    return sorted(pairs(state))
             else:
 
                 def relation(state):
-                    return sorted({p for c in constraints for p in c.pairs(state)}, reverse=_reverse_pairs)
+                    return sorted({p for c in constraints for p in c.pairs(state)})
 
                 def holds(state, a, b):
                     return any(c.holds(state, a, b) for c in constraints)

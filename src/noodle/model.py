@@ -43,14 +43,12 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class VarDecl:
-    id: int  # dense, 1-based
     name: str
     domain: frozenset[int]
 
 
 @dataclass(frozen=True)
 class ConstraintDecl:
-    id: int  # dense, 1-based
     kind: str
     scope: tuple[int, ...]  # variable ids
     alias: str | None = None
@@ -135,11 +133,8 @@ class Model:
     variables: tuple[VarDecl, ...]
     groups: dict[str, tuple[int, ...]] = field(default_factory=dict)
     constraints: tuple[ConstraintDecl, ...] = ()
-    structural: int | None = None  # constraint id of the designated circuit
+    structural: int | None = None  # index of the designated circuit in constraints
     objective: ObjectiveSpec = ObjectiveSpec()
-
-    def var(self, vid: int) -> VarDecl:
-        return self.variables[vid - 1]
 
     def constraints_by_name(self, name: str) -> list[ConstraintDecl]:
         """Constraints whose alias or kind matches ``name``."""
@@ -155,13 +150,13 @@ class Model:
         return seen
 
     def structural_constraint(self) -> ConstraintDecl | None:
-        # load_model validates the id, so it always indexes a constraint
-        return self.constraints[self.structural - 1] if self.structural is not None else None
+        # load_model validates the index, so it always names a circuit
+        return self.constraints[self.structural] if self.structural is not None else None
 
     def walk_scope(self) -> tuple[int, ...]:
         """The variables walks run over: the structural scope, else all in declaration order."""
         sc = self.structural_constraint()
-        return sc.scope if sc is not None else tuple(v.id for v in self.variables)
+        return sc.scope if sc is not None else tuple(range(1, len(self.variables) + 1))
 
     def walk_positions(self) -> dict[int, int]:
         """1-based position of each variable along the walk scope.
@@ -249,9 +244,8 @@ def load_model(document) -> Model:
         domain = _parse_domain(spec, f"{path}.domain", room)
         if "lo" in spec:  # parsed, so an interval
             room -= len(domain)
-        vid = i + 1
-        ids_by_name[vname] = vid
-        variables.append(VarDecl(id=vid, name=vname, domain=domain))
+        ids_by_name[vname] = i + 1
+        variables.append(VarDecl(name=vname, domain=domain))
 
     def resolve_var(vname, path: str) -> int:
         _require(isinstance(vname, str), "variable reference must be a name string", path)
@@ -304,14 +298,12 @@ def load_model(document) -> Model:
             "alias must be an identifier (a letter or '_', then letters, digits or '_')",
             f"{path}.alias",
         )
-        constraints.append(ConstraintDecl(id=i + 1, kind=kind, scope=scope, alias=alias))
+        constraints.append(ConstraintDecl(kind=kind, scope=scope, alias=alias))
 
-    structural = None
-    if document.get("structural") is not None:
-        idx = document["structural"]
-        _require(_is_int(idx) and 0 <= idx < len(constraints), "structural must index a constraint", "structural")
-        _require(constraints[idx].kind == "circuit", "structural constraint must be of kind 'circuit'", "structural")
-        structural = constraints[idx].id
+    structural = document.get("structural")
+    if structural is not None:
+        _require(_is_int(structural) and 0 <= structural < len(constraints), "structural must index a constraint", "structural")
+        _require(constraints[structural].kind == "circuit", "structural constraint must be of kind 'circuit'", "structural")
 
     obj_spec = document.get("objective", {"kind": "none"})
     _require(isinstance(obj_spec, dict), "objective must be an object", "objective")
@@ -321,7 +313,7 @@ def load_model(document) -> Model:
     ogroup = None
     if okind == "next_cost":
         _require(structural is not None, "next_cost objective requires a structural constraint", "objective")
-        side = len(constraints[document["structural"]].scope)
+        side = len(constraints[structural].scope)
         raw_matrix = obj_spec.get("matrix")
         _require(isinstance(raw_matrix, list) and len(raw_matrix) == side, f"matrix must have {side} rows", "objective.matrix")
         rows = []
@@ -400,7 +392,7 @@ def seed_assignment(model: Model, rng_seed: int) -> Assignment:
             successor_pos = order[(k + 1) % len(order)] + 1
             values[c.scope[scope_idx] - 1] = successor_pos
 
-    pending = [v.id for v in model.variables if values[v.id - 1] is None]
+    pending = [vid for vid in range(1, len(values) + 1) if values[vid - 1] is None]
     partners: dict[int, set[int]] = {vid: set() for vid in pending}
     for c in model.constraints:
         if c.kind == "circuit":
@@ -431,7 +423,7 @@ def seed_assignment(model: Model, rng_seed: int) -> Assignment:
 
     for vid in queue:
         used = {values[p - 1] for p in partners[vid] if values[p - 1] is not None}
-        free = sorted(model.var(vid).domain - used)
+        free = sorted(model.variables[vid - 1].domain - used)
         if not free:
             raise InfeasibleError("infeasible seed")
         values[vid - 1] = free[0]

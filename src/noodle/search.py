@@ -64,25 +64,23 @@ def hill_climb(
     start: Assignment,
     config: SearchConfig,
     rng: random.Random,
-    stats: dict | None = None,
-) -> tuple[Assignment, float, int]:
+) -> tuple[Assignment, float, int, int, bool]:
     """First-improvement climb from a feasible start.
 
-    Returns (assignment, objective, accepted steps).  Neighbors with any
+    Returns (assignment, objective, accepted steps, neighbors generated,
+    whether any neighborhood was truncated).  Neighbors with any
     violation are discarded; ties in the shuffled order are broken by the
-    rng stream, so runs are deterministic per seed.  ``stats`` (optional)
-    accumulates ``neighbors_generated`` and ``truncated``.
+    rng stream, so runs are deterministic per seed.
     """
     if not is_feasible(model, start):
         raise InfeasibleError("infeasible start")
     current = start
     current_cost = objective(model, current)
-    steps = 0
+    steps, generated, truncated = 0, 0, False
     while steps < config.max_steps:
         result = neighbors(program, model, current, fuel=config.fuel, cap=config.neighbor_cap)
-        if stats is not None:
-            stats["neighbors_generated"] = stats.get("neighbors_generated", 0) + len(result)
-            stats["truncated"] = stats.get("truncated", False) or result.truncated
+        generated += len(result)
+        truncated |= result.truncated
         candidates = list(result.assignments)
         rng.shuffle(candidates)
         moved = False
@@ -97,7 +95,7 @@ def hill_climb(
                 break
         if not moved:
             break
-    return current, current_cost, steps
+    return current, current_cost, steps, generated, truncated
 
 
 def solve(model: Model, program: Program, config: SearchConfig) -> SearchResult:
@@ -111,11 +109,13 @@ def solve(model: Model, program: Program, config: SearchConfig) -> SearchResult:
         raise ValueError(f"program fails analysis: {codes}")
     traces = []
     best: tuple[float, Assignment] | None = None
-    stats: dict = {}
+    generated, truncated = 0, False
     for i in range(config.restarts):
         start = seed_assignment(model, split_seed(config.seed, "start", i))
         rng = random.Random(split_seed(config.seed, "climb", i))
-        assignment, cost, steps = hill_climb(model, program, start, config, rng, stats=stats)
+        assignment, cost, steps, restart_generated, restart_truncated = hill_climb(model, program, start, config, rng)
+        generated += restart_generated
+        truncated |= restart_truncated
         traces.append(RestartTrace(steps=steps, objective=cost))
         if best is None or cost < best[0]:
             best = (cost, assignment)
@@ -123,6 +123,6 @@ def solve(model: Model, program: Program, config: SearchConfig) -> SearchResult:
         best_assignment=best[1] if best else None,
         best_objective=best[0] if best else None,
         traces=tuple(traces),
-        neighbors_generated=stats.get("neighbors_generated", 0),
-        truncated=stats.get("truncated", False),
+        neighbors_generated=generated,
+        truncated=truncated,
     )

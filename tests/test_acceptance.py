@@ -151,7 +151,7 @@ def test_criterion_7_search_deployment(tsp4, tsp6, two_opt):
     with criterion(7, "search deployment", 10.0):
         for i, rest in enumerate(permutations(range(2, 5))):
             start = path_to_successors([1, *rest])
-            _, cost, _ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
+            _, cost, *_ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
             assert cost == 4
 
         result = solve(tsp6, two_opt, SearchConfig(restarts=10, seed=7))

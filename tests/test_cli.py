@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from tests.conftest import FIXTURES, ROOT, nested_iterates, overlong_digits
+from tests.conftest import FIXTURES, ROOT, fixture_text, nested_iterates, overlong_digits
 
 
 def run_cli(*args, env_extra=None):
@@ -33,6 +34,13 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         assert payload["variables"] == 4
         assert payload["constraints"] == {"circuit": 1}
+
+    def test_structural_is_the_document_index(self):
+        proc = run_cli("check", fixture("tsp6.json"))
+        assert json.loads(fixture_text("tsp6.json"))["structural"] == 0
+        assert json.loads(proc.stdout)["structural"] == 0
+        proc = run_cli("check", fixture("coloring_triangle.json"))
+        assert json.loads(proc.stdout)["structural"] is None
 
     def test_schema_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -377,6 +385,18 @@ class TestMisc:
             command = [sys.executable, str(ROOT / "scripts" / script), *args]
             proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, f"{script}: {proc.stderr}"
+
+    def test_make_fixtures_reproduces_the_committed_fixtures(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.FIXTURES = tmp_path
+        script.main()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        # scripts/scan_seeds.py chose the one fixture this script does not write
+        assert written == sorted(path.name for path in FIXTURES.iterdir() if path.name != "rediscovery_seeds.json")
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
     def test_stdout_machine_parseable_everywhere(self):
         proc = run_cli("check", fixture("coloring_triangle.json"))

@@ -54,7 +54,6 @@ class TestEvaluateFitness:
         fitness = evaluate_fitness(program, tsp6, samples_for(tsp6))
         assert fitness.tier == "STATIC_REJECT"
         assert "NO_EFFECT" in fitness.notes
-        assert fitness.fuel_used == 0
 
     def test_single_swap_breaks_circuit_on_full_domains(self, tsp6_full):
         program = parse("constraint(circuit, t0, t1), swap_values(t0, t1)")
@@ -157,7 +156,6 @@ class TestEvolve:
         report = evolve(tsp6, config)
         assert report.best_fitness.tier == "STATIC_REJECT"
         assert report.best_fitness.notes == ("WRAP_LIMIT",)
-        assert report.best_fitness.fuel_used == 0
         assert report.best_program == ""
         assert all(stat.best_program == "" for stat in report.generations)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noodle.grammar import DEFAULT_MAX_DEPTH, NT, Grammar, derive_grammar, map_genome, render_grammar
+from noodle.grammar import DEFAULT_MAX_DEPTH, NT, derive_grammar, map_genome, render_grammar
 from noodle.lang.analyzer import analyze
 from noodle.lang.ast import render
 from noodle.lang.parser import parse
@@ -56,17 +56,17 @@ def no_structural_model():
 
 class TestDeriveGrammar:
     def test_tsp_grammar_counts(self, tsp6):
-        rules = dict(derive_grammar(tsp6, budget=6).rules)
+        rules = derive_grammar(tsp6, budget=6)
         assert len(rules["<cname>"]) == 1
         assert len(rules["<var>"]) == 6
         assert len(rules["<effect>"]) == 2
 
     def test_two_constraints_two_names(self, two_constraint_model):
-        rules = dict(derive_grammar(two_constraint_model, budget=4).rules)
+        rules = derive_grammar(two_constraint_model, budget=4)
         assert len(rules["<cname>"]) == 2
 
     def test_no_structural_drops_redirect(self, no_structural_model):
-        rules = dict(derive_grammar(no_structural_model, budget=3).rules)
+        rules = derive_grammar(no_structural_model, budget=3)
         assert len(rules["<effect>"]) == 1
 
     def test_budget_floor(self, tsp6):
@@ -75,14 +75,14 @@ class TestDeriveGrammar:
 
     def test_every_nonterminal_has_alternatives(self, tsp6, no_constraint_model):
         for model in (tsp6, no_constraint_model):
-            rules = dict(derive_grammar(model, budget=6).rules)
+            rules = derive_grammar(model, budget=6)
             for alternatives in rules.values():
                 assert len(alternatives) >= 1
                 for symbols, _ in alternatives:
                     assert {text for kind, text in symbols if kind == NT} <= rules.keys()
 
     def test_no_constraint_drops_test_atom(self, no_constraint_model):
-        rules = dict(derive_grammar(no_constraint_model, budget=3).rules)
+        rules = derive_grammar(no_constraint_model, budget=3)
         assert "<test>" not in rules
         assert "<cname>" not in rules
         assert len(rules["<atom>"]) == 2
@@ -149,10 +149,7 @@ class TestMapGenome:
 
     def test_alternative_order_is_contract(self, tsp6):
         grammar = derive_grammar(tsp6, budget=6)
-        permuted_rules = tuple(
-            (lhs, tuple(reversed(alts)) if lhs == "<var>" else alts) for lhs, alts in grammar.rules
-        )
-        permuted = Grammar(rules=permuted_rules)
+        permuted = {lhs: tuple(reversed(alts)) if lhs == "<var>" else alts for lhs, alts in grammar.items()}
         genome = [0] * 80
         assert render(map_genome(grammar, genome).program) != render(map_genome(permuted, genome).program)
 

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from noodle.lang.interp import neighbors
 from noodle.lang.parser import MAX_ITERATE_NESTING, parse
 from noodle.model import load_model, seed_assignment
 
-from tests.conftest import nested_iterates
+from tests.conftest import fixture_text, nested_iterates
 from tests.oracles import is_tour, reference_neighbors
 
 
@@ -141,12 +143,6 @@ class TestSafetyProperties:
         assert start == (2, 3, 4, 5, 6, 1)
         assert first.assignments == second.assignments
 
-    def test_branch_isolation_under_reversed_exploration(self, tsp6, two_opt):
-        start = (2, 3, 4, 5, 6, 1)
-        forward = neighbors(two_opt, tsp6, start)
-        backward = neighbors(two_opt, tsp6, start, _reverse_pairs=True)
-        assert forward.assignments == backward.assignments
-
     def test_fuel_exhaustion_truncates_without_raising(self, tsp6, two_opt):
         start = (2, 3, 4, 5, 6, 1)
         result = neighbors(two_opt, tsp6, start, fuel=25)
@@ -265,16 +261,86 @@ class TestAgainstReference:
         for seed in range(30):
             assert_matches_reference(program, tsp6, seed_assignment(tsp6, seed))
 
-    @pytest.mark.parametrize("fuel", [500, 1_000_000])
-    def test_two_opt_reversed(self, fuel, tsp6, two_opt):
-        assert_matches_reference(two_opt, tsp6, (2, 3, 4, 5, 6, 1), fuel=fuel, _reverse_pairs=True)
+    @settings(max_examples=200, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50))
+    def test_without_the_analyzer_filter(self, genome_seed, sample_seed, fuel, cap, tsp6):
+        # any mapped program, so unbound effect operands occur and fail their branch
+        grammar = derive_grammar(tsp6, budget=6)
+        rng = random.Random(genome_seed)
+        while not (outcome := map_genome(grammar, [rng.randrange(256) for _ in range(80)])).ok:
+            pass
+        assert_matches_reference(outcome.program, tsp6, seed_assignment(tsp6, sample_seed), fuel=fuel, cap=cap)
 
-    @pytest.mark.parametrize("cap", [1, 100])
-    def test_not_equal_reversed(self, cap, triangle):
-        # the not_equal relation is built once per call; a cap of one keeps
-        # only the first branch, so the build must honour the order too
+
+class TestUnboundOperands:
+    """A program that skipped the analyzer: an effect with an unbound operand spends its step and fails its branch."""
+
+    @pytest.mark.parametrize(
+        "text, steps",
+        [
+            ("swap_values(t0, t1)", 1),
+            ("redirect(t0, t1)", 1),
+            ("constraint(circuit, t0, t1), swap_values(t1, t2)", 4),  # the enumeration, then one per branch
+        ],
+    )
+    def test_effect_fails_its_branch(self, text, steps, circuit3):
+        program = parse(text)
+        result = neighbors(program, circuit3, (2, 3, 1))
+        assert (result.assignments, result.truncated, result.steps_used) == ((), False, steps)
+        assert_matches_reference(program, circuit3, (2, 3, 1))
+
+    def test_no_fuel_truncates(self, circuit3):
+        result = neighbors(parse("swap_values(t0, t1)"), circuit3, (2, 3, 1), fuel=0)
+        assert (result.assignments, result.truncated, result.steps_used) == ((), True, 0)
+
+
+def relabelled(name, order):
+    """The fixture model with its variables redeclared: the j-th is the original's ``order[j]``-th, from 0."""
+    document = json.loads(fixture_text(name))
+    document["variables"] = [document["variables"][i] for i in order]
+    return load_model(document)
+
+
+def relabel(values, order):
+    return tuple(values[i] for i in order)
+
+
+def unlabel(values, order):
+    original = [0] * len(order)
+    for new, old in enumerate(order):
+        original[old] = values[new]
+    return tuple(original)
+
+
+TSP6_ORDERS = [tuple(random.Random(seed).sample(range(6), 6)) for seed in range(5)]
+
+
+class TestRelabelling:
+    """Declaring a model's variables in another order renumbers them, which reorders the
+    enumeration of every relation: the neighborhood, mapped back, stays the same, and
+    where fuel or a cap stops exploring stays the reference's."""
+
+    @pytest.mark.parametrize("order", TSP6_ORDERS)
+    def test_two_opt(self, order, tsp6, two_opt):
+        start = (2, 3, 4, 5, 6, 1)
+        original = neighbors(two_opt, tsp6, start)
+        model = relabelled("tsp6.json", order)
+        result = neighbors(two_opt, model, relabel(start, order))
+        assert not result.truncated and len(result) == len(original) == 19
+        assert sorted(unlabel(values, order) for values in result.assignments) == list(original.assignments)
+        for fuel, cap in [(500, 100_000), (1_000_000, 5), (1_000_000, 100_000)]:
+            assert_matches_reference(two_opt, model, relabel(start, order), fuel=fuel, cap=cap)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_not_equal(self, order, triangle):
         program = parse("constraint(not_equal, t0, t1), swap_values(t0, t1)")
-        assert_matches_reference(program, triangle, (1, 2, 3), cap=cap, _reverse_pairs=True)
+        original = neighbors(program, triangle, (1, 2, 3))
+        model = relabelled("coloring_triangle.json", order)
+        result = neighbors(program, model, relabel((1, 2, 3), order))
+        assert sorted(unlabel(values, order) for values in result.assignments) == list(original.assignments)
+        # the not_equal relation is built once per compile; a cap of one
+        # keeps only the first branch, so that build must follow the order
+        assert_matches_reference(program, model, relabel((1, 2, 3), order), cap=1)
 
 
 class TestCompiledReuse:
@@ -302,6 +368,6 @@ class TestCompiledReuse:
 
     def test_same_objects_keep_the_compile(self, tsp6, two_opt):
         neighbors(two_opt, tsp6, seed_assignment(tsp6, 1))
-        explore = interp._last[3]
+        explore = interp._last[2]
         neighbors(two_opt, tsp6, seed_assignment(tsp6, 2), fuel=10, cap=1)
-        assert interp._last[3] is explore
+        assert interp._last[2] is explore

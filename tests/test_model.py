@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,13 @@ from noodle.model import (
     violations,
 )
 
+from noodle.evolution import EvolutionConfig, evolve
 from noodle.lang.interp import neighbors
-from tests.conftest import fixture_text, overlong_digits
+from noodle.lang.parser import parse
+from noodle.search import SearchConfig, solve
+from tests.conftest import ROOT, fixture_text, overlong_digits
+
+CLI_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 from tests.oracles import greedy_coloring, successor_cycles
 
 
@@ -37,7 +45,7 @@ class TestLoadModel:
         assert len(tsp4.constraints) == 1
         assert tsp4.constraints[0].kind == "circuit"
         assert tsp4.constraints[0].alias == "all_diff_next"
-        assert tsp4.structural == 1
+        assert tsp4.structural == 0
         assert tsp4.objective.kind == "next_cost"
 
     def test_unknown_constraint_kind(self):
@@ -194,6 +202,101 @@ class TestAssignmentDocuments:
             return
         result = neighbors(two_opt, tsp6, assignment, fuel=2_000)
         assert all(type(nb) is tuple for nb in result.assignments)
+
+
+@st.composite
+def model_documents(draw):
+    """Routing or colouring documents of up to five variables; some with one value of another shape."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    n = len(names)
+    groups = {"g": draw(st.permutations(names))}
+    constraints = []
+    if draw(st.booleans()):  # a tour: successor positions along g
+        domains = st.sampled_from([{"lo": 1, "hi": n}, {"set": list(range(1, n + 1))}])
+        constraints.append({"kind": "circuit", "scope": "g", "alias": "link"})
+    else:
+        domains = st.builds(lambda lo, size: {"lo": lo, "hi": lo + size}, st.integers(-1, 3), st.integers(0, 4)) | st.builds(
+            lambda values: {"set": values}, st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True)
+        )
+    others = [st.fixed_dictionaries({"kind": st.just("all_different"), "scope": st.lists(st.sampled_from(names), min_size=1, unique=True)})]
+    if n >= 2:
+        pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        others.append(st.fixed_dictionaries({"kind": st.just("not_equal"), "scope": pair}, optional={"alias": st.just("link")}))
+    constraints += draw(st.lists(st.one_of(others), max_size=3))
+    structural = 0 if constraints and constraints[0]["kind"] == "circuit" and draw(st.booleans()) else None
+    objectives = [{"kind": "none"}, {"kind": "distinct_count", "group": "g"}]
+    if structural is not None:
+        objectives.append({"kind": "next_cost", "matrix": [[abs(r - c) for c in range(n)] for r in range(n)]})
+    document = {
+        "name": "fuzz",
+        "variables": [{"name": name, "domain": draw(domains)} for name in names],
+        "groups": groups,
+        "constraints": constraints,
+        "structural": structural,
+        "objective": draw(st.sampled_from(objectives)),
+    }
+    if draw(st.sampled_from(range(5))) == 0:
+        document[draw(st.sampled_from(sorted(document)))] = draw(JSON_VALUES)
+    return document
+
+
+class TestModelDocuments:
+    """Every document loads or raises ModelError; every loaded model runs the pipeline to a documented outcome."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(document=model_documents(), seed=st.integers(0, 3))
+    def test_load_then_evolve_and_solve(self, document, seed):
+        try:
+            model = load_model(document)
+        except ModelError:
+            return
+        programs = [parse("iterate(t0 - t1, t2, (swap_values(t0, t1)))")]
+        try:
+            report = evolve(model, EvolutionConfig(population_size=4, generations=1, seed=seed, fuel=2_000))
+        except InfeasibleError:  # no feasible sample assignment
+            return
+        if report.best_program:
+            programs.append(parse(report.best_program))
+        for program in programs:
+            try:
+                result = solve(model, program, SearchConfig(restarts=1, seed=seed, fuel=2_000))
+            except InfeasibleError:  # greedy colouring can fail from one seed's order and not another's
+                continue
+            except ValueError as exc:
+                assert str(exc).startswith("program fails analysis: ")
+                continue
+            model.validate_assignment(result.best_assignment)
+            assert is_feasible(model, result.best_assignment)
+
+    @pytest.mark.parametrize(
+        "document, codes",
+        [
+            ({"variables": [{"name": "a", "domain": {"lo": 1, "hi": 2}}]}, (0, 0, 0)),
+            (
+                {
+                    "variables": [{"name": v, "domain": {"lo": 1, "hi": 1}} for v in "ab"],
+                    "constraints": [{"kind": "not_equal", "scope": ["a", "b"]}],
+                },
+                (0, 1, 1),
+            ),
+            ({"variables": [{"name": "a", "domain": {"lo": 1, "hi": 2}}], "structural": 0}, (2, 2, 2)),
+        ],
+    )
+    def test_cli_exit_codes(self, document, codes, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(document), encoding="utf-8")
+        op = tmp_path / "op.ndl"
+        op.write_text("iterate(t0 - t1, t2, (swap_values(t0, t1)))", encoding="utf-8")
+        commands = [
+            ["check", str(model)],
+            ["synth", "--model", str(model), "--seed", "1", "--pop", "4", "--gens", "1"],
+            ["solve", "--model", str(model), "--op", str(op), "--seed", "1", "--restarts", "1"],
+        ]
+        for command, code in zip(commands, codes):
+            proc = subprocess.run([sys.executable, "-m", "noodle", *command], capture_output=True, text=True, env=CLI_ENV, timeout=300)
+            assert proc.returncode == code, proc.stderr
+            if code:
+                assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestCheck:

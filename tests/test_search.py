@@ -3,8 +3,10 @@ from itertools import permutations
 
 import pytest
 
-from noodle.model import InfeasibleError, is_feasible, objective
+from noodle.lang.interp import neighbors
+from noodle.model import InfeasibleError, is_feasible, objective, seed_assignment
 from noodle.search import SearchConfig, hill_climb, solve
+from noodle.util import split_seed
 
 from tests.oracles import (
     is_local_optimum,
@@ -24,27 +26,27 @@ class TestHillClimb:
     def test_reaches_the_verified_optimum_from_cost_6(self, tsp4, two_opt):
         start = (3, 4, 2, 1)
         assert objective(tsp4, start) == 6
-        result, cost, steps = hill_climb(tsp4, two_opt, start, SearchConfig(seed=0), random.Random(0))
+        result, cost, steps, *_ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=0), random.Random(0))
         assert cost == 4
         assert steps >= 1
         assert is_feasible(tsp4, result)
 
     def test_objective_never_increases(self, tsp4, two_opt):
         for i, start in enumerate(all_tours(4)):
-            result, cost, _ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
+            result, cost, *_ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
             assert cost <= objective(tsp4, start)
             assert is_feasible(tsp4, result)
 
     def test_max_steps_zero_returns_start(self, tsp4, two_opt):
         start = (3, 4, 2, 1)
-        result, cost, steps = hill_climb(
+        result, cost, steps, *_ = hill_climb(
             tsp4, two_opt, start, SearchConfig(max_steps=0, seed=0), random.Random(0)
         )
         assert result == start and steps == 0
 
     def test_empty_neighborhood_returns_start(self, tsp6, single_swap):
         start = (2, 3, 4, 5, 6, 1)
-        result, cost, steps = hill_climb(
+        result, cost, steps, *_ = hill_climb(
             tsp6, single_swap, start, SearchConfig(seed=0), random.Random(0)
         )
         assert result == start and steps == 0
@@ -55,13 +57,13 @@ class TestHillClimb:
 
     def test_result_is_local_optimum_when_converged(self, tsp6, two_opt):
         start = (2, 3, 4, 5, 6, 1)
-        result, _, steps = hill_climb(tsp6, two_opt, start, SearchConfig(seed=3), random.Random(3))
+        result, _, steps, *_ = hill_climb(tsp6, two_opt, start, SearchConfig(seed=3), random.Random(3))
         assert steps < SearchConfig().max_steps
         assert is_local_optimum(tsp6, two_opt, result)
 
     def test_matches_descent_oracle_cost_from_every_start(self, tsp4, two_opt):
         for i, start in enumerate(all_tours(4)):
-            _, cost, _ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
+            _, cost, *_ = hill_climb(tsp4, two_opt, start, SearchConfig(seed=i), random.Random(i))
             _, oracle_cost = steepest_two_opt_descent(start, tsp4.objective.matrix)
             assert cost == oracle_cost
 
@@ -71,7 +73,7 @@ class TestHillClimb:
         start = (3, 6, 5, 1, 2, 4)
         costs = []
         for limit in range(0, 6):
-            result, cost, steps = hill_climb(
+            result, cost, steps, *_ = hill_climb(
                 tsp6, two_opt, start, SearchConfig(max_steps=limit, seed=5), random.Random(5)
             )
             assert is_feasible(tsp6, result)
@@ -80,10 +82,19 @@ class TestHillClimb:
                 break
         assert all(b < a for a, b in zip(costs, costs[1:]))
 
+    def test_counts_neighbors_and_truncation(self, tsp6, two_opt):
+        start = (2, 3, 4, 5, 6, 1)
+        config = SearchConfig(max_steps=1, seed=0)
+        *_, generated, truncated = hill_climb(tsp6, two_opt, start, config, random.Random(0))
+        assert (generated, truncated) == (len(neighbors(two_opt, tsp6, start)), False)
+        config = SearchConfig(max_steps=1, fuel=25, seed=0)
+        *_, generated, truncated = hill_climb(tsp6, two_opt, start, config, random.Random(0))
+        assert (generated, truncated) == (len(neighbors(two_opt, tsp6, start, fuel=25)), True)
+
     def test_matches_descent_oracle_cost_on_six_cities(self, tsp6, two_opt):
         start = (3, 6, 5, 1, 2, 4)  # the tour 1-3-5-2-6-4
         assert is_feasible(tsp6, start)
-        _, cost, _ = hill_climb(tsp6, two_opt, start, SearchConfig(seed=1), random.Random(1))
+        _, cost, *_ = hill_climb(tsp6, two_opt, start, SearchConfig(seed=1), random.Random(1))
         _, oracle_cost = steepest_two_opt_descent(start, tsp6.objective.matrix)
         assert cost == pytest.approx(oracle_cost)
 
@@ -129,6 +140,23 @@ class TestSolve:
 
         with pytest.raises(ValueError, match="analysis"):
             solve(tsp6, parse("swap_values(t0, t1)"), SearchConfig(seed=0))
+
+    def test_totals_are_the_restarts_sums(self, tsp6, two_opt):
+        config = SearchConfig(restarts=3, seed=3, fuel=300)
+        climbs = [
+            hill_climb(
+                tsp6,
+                two_opt,
+                seed_assignment(tsp6, split_seed(3, "start", i)),
+                config,
+                random.Random(split_seed(3, "climb", i)),
+            )
+            for i in range(3)
+        ]
+        result = solve(tsp6, two_opt, config)
+        assert [(t.steps, t.objective) for t in result.traces] == [(climb[2], climb[1]) for climb in climbs]
+        assert result.neighbors_generated == sum(climb[3] for climb in climbs) > 0
+        assert result.truncated == any(climb[4] for climb in climbs)
 
     def test_zero_restarts(self, tsp6, two_opt):
         result = solve(tsp6, two_opt, SearchConfig(restarts=0, seed=0))

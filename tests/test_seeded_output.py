@@ -1,8 +1,9 @@
 """The seeded-output contract: a workload's output digest equals the stored one.
 
-perfbench only warns when a digest differs; this makes the solve-tsp20
-and synth-color12 digests tests (the first runs the hill climber, the
-second the evolution loop and its fitness memo).  They build the inputs
+perfbench only warns when a digest differs; this makes every workload's
+digest a test: solve-tsp20 runs the hill climber, synth-color12 and
+synth-tsp6 the evolution loop and its fitness memo (a wrong memo key has
+moved only the synth-tsp6 digest).  They build the inputs
 with perfbench's own workload code (read, never edited) and run the same
 calls the benchmark times.
 """
@@ -47,3 +48,7 @@ def test_solve_tsp20_digest_matches_expected():
 
 def test_synth_color12_digest_matches_expected():
     assert_digest_matches_expected("synth-color12")
+
+
+def test_synth_tsp6_digest_matches_expected():
+    assert_digest_matches_expected("synth-tsp6")
