@@ -40,7 +40,7 @@ class Fitness:
     preserved: int = 0
     productivity: int = 0
     size_penalty: int = 0
-    notes: tuple[str, ...] = field(default=(), compare=False)
+    notes: tuple[str, ...] = field(default=(), compare=False)  # ("TRUNCATED",) or ()
 
     def key(self) -> tuple:
         return (TIERS.index(self.tier), self.preserved, self.productivity, -self.size_penalty)
@@ -147,10 +147,8 @@ def evaluate_fitness(
     per-sample count of feasible neighbors (those it names no kind for),
     and ``size_penalty`` the optimized program's atom count.
     """
-    diagnostics = analyze(program, model, budget=budget)
-    if not diagnostics.ok:
-        codes = tuple(sorted({d.code for d in diagnostics.errors}))
-        return Fitness(tier="STATIC_REJECT", size_penalty=atom_count(program), notes=codes)
+    if not analyze(program, model, budget=budget).ok:
+        return Fitness(tier="STATIC_REJECT", size_penalty=atom_count(program))
 
     optimized = optimize(program)
     size = atom_count(optimized)
@@ -191,17 +189,12 @@ def vary(
     if len(parent_a) != len(parent_b):
         raise ValueError("parents must have equal genome lengths")
     length = len(parent_a)
-    if length > 1 and rng.random() < crossover_rate:
-        point = rng.randrange(1, length)
-        child_a = list(parent_a[:point] + parent_b[point:])
-        child_b = list(parent_b[:point] + parent_a[point:])
-    else:
-        child_a, child_b = list(parent_a), list(parent_b)
-    for child in (child_a, child_b):
-        for i in range(length):
-            if rng.random() < mutation_rate:
-                child[i] = rng.randrange(256)
-    return tuple(child_a), tuple(child_b)
+    draw, randrange = rng.random, rng.randrange
+    if length > 1 and draw() < crossover_rate:
+        point = randrange(1, length)
+        parent_a, parent_b = parent_a[:point] + parent_b[point:], parent_b[:point] + parent_a[point:]
+    # one draw per codon, in order, and a fresh codon drawn right after each hit
+    return tuple(tuple([randrange(256) if draw() < mutation_rate else c for c in parent]) for parent in (parent_a, parent_b))
 
 
 def sample_seeds_for(config: EvolutionConfig) -> tuple[int, ...]:
@@ -222,11 +215,13 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
     ]
 
     # one fitness per program up to variable renaming over the whole run,
-    # keyed on the raw text and, on a miss, on the renamed raw text: a
-    # mapped program uses only t0..t{budget-1}, so renaming moves neither
-    # its analysis nor its fitness.  Optimized text is no key: dropping a
+    # keyed on the derivation (equal exactly when the texts are) and, on a
+    # miss, on the renamed raw text of the tree then built: renaming moves
+    # neither analysis nor fitness.  Optimized text is no key: dropping a
     # self-swap can turn a BARREN program's text into a STATIC_REJECT one's.
-    memo: dict[str, Fitness] = {}
+    by_derivation: dict[tuple[int, ...], Fitness] = {}
+    by_renamed: dict[str, Fitness] = {}
+    invalid_mapping = Fitness(tier="STATIC_REJECT")
     best_genome = population[0]
     best_fitness = None
     best_program = ""
@@ -241,13 +236,14 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
         fitnesses = []
         for outcome in outcomes:
             if not outcome.ok:
-                fitnesses.append(Fitness(tier="STATIC_REJECT", notes=(outcome.invalid,)))
+                fitnesses.append(invalid_mapping)
                 continue
-            text = render(outcome.program)
-            if text not in memo:
+            fitness = by_derivation.get(outcome.derivation)
+            if fitness is None:
                 key = render(renamed(outcome.program))
-                if key not in memo:
-                    memo[key] = evaluate_fitness(
+                fitness = by_renamed.get(key)
+                if fitness is None:
+                    fitness = by_renamed[key] = evaluate_fitness(
                         outcome.program,
                         model,
                         samples,
@@ -255,10 +251,11 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
                         cap=config.inspection_cap,
                         budget=config.var_budget,
                     )
-                memo[text] = memo[key]
-            fitnesses.append(memo[text])
+                by_derivation[outcome.derivation] = fitness
+            fitnesses.append(fitness)
 
-        order = sorted(range(len(population)), key=lambda i: fitnesses[i].key(), reverse=True)
+        keys = [f.key() for f in fitnesses]
+        order = sorted(range(len(population)), key=keys.__getitem__, reverse=True)
         gen_best = order[0]
         gen_outcome = outcomes[gen_best]
         gen_program = render(optimize(gen_outcome.program)) if gen_outcome.ok else ""
@@ -282,7 +279,7 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
 
         def tournament() -> tuple[int, ...]:
             picks = [rng.randrange(len(population)) for _ in range(config.tournament_size)]
-            winner = max(picks, key=lambda i: (fitnesses[i].key(), -i))
+            winner = max(picks, key=lambda i: (keys[i], -i))
             return population[winner]
 
         while len(next_population) < config.population_size:

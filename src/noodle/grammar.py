@@ -4,15 +4,18 @@ The grammar is derived from a constraint model: constraint surface names
 become the alternatives of ``<cname>`` (no constraints, no ``<test>``),
 the variable budget sizes ``<var>``, and ``redirect`` is only offered when
 the model has a structural circuit to give positions meaning.  Each
-alternative carries the AST constructor its nonterminals feed, so mapping
-a codon genome builds the program directly (or an Invalid outcome when the
-wrap or depth limit trips).  Alternative order is part of the contract:
-mapping indexes alternatives by codon value modulo their count.
+alternative carries the AST constructor its nonterminals feed and, for the
+mapper, those nonterminals reversed.  Mapping a codon genome yields its
+derivation (the chosen alternative indices in pre-order), or an Invalid
+outcome when the wrap or depth limit trips.  The grammar is unambiguous:
+equal derivations mean equal program texts.  Alternative order is part of
+the contract: mapping indexes alternatives by codon value modulo their count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
@@ -27,23 +30,48 @@ NT = "NT"
 T = "T"
 
 Symbol = tuple[str, str]  # (NT, "<conj>") or (T, "constraint(")
-# (symbols, build): build takes the values of the symbols' nonterminals in
-# order; an alternative without nonterminals holds its value as build
-Alternative = tuple[tuple[Symbol, ...], Any]
+# (symbols, build, children): build takes the values of the symbols' nonterminals
+# in order (without any, it is the value) and children lists them in reverse
+Alternative = tuple[tuple[Symbol, ...], Any, tuple[str, ...]]
 Grammar = dict[str, tuple[Alternative, ...]]  # left-hand side -> alternatives, "<program>" first
 
 
 @dataclass(frozen=True)
 class MappingOutcome:
-    """A mapped program plus codons consumed, or an Invalid reason."""
+    """A genome's derivation, or its prefix and the Invalid reason that stopped it."""
 
-    program: Program | None
-    consumed: int
+    derivation: tuple[int, ...]  # chosen alternative indices, in pre-order
+    grammar: Grammar = field(compare=False, repr=False)
     invalid: str | None = None  # WRAP_LIMIT or DEPTH_LIMIT
 
     @property
     def ok(self) -> bool:
         return self.invalid is None
+
+    @property
+    def consumed(self) -> int:
+        return len(self.derivation)
+
+    @cached_property
+    def program(self) -> Program | None:
+        """The syntax tree, built on first use; None when invalid."""
+        if not self.ok:
+            return None
+        work = ["<program>"]
+        chosen = []  # (build, arity) of each expansion, in pre-order
+        for choice in self.derivation:
+            _, build, children = self.grammar[work.pop()][choice]
+            work += children
+            chosen.append((build, len(children)))
+        # children follow their parent in pre-order, so folding from the end
+        # leaves an expansion's child values on top of the stack, leftmost last
+        values = []
+        for build, arity in reversed(chosen):
+            if arity:
+                build = build(*values[: -arity - 1 : -1])
+                del values[-arity:]
+            values.append(build)
+        return values[0]
 
 
 def derive_grammar(model: Model, budget: int = 6) -> Grammar:
@@ -84,7 +112,7 @@ def derive_grammar(model: Model, budget: int = 6) -> Grammar:
     }
     if not names:
         del rules["<test>"], rules["<cname>"]
-    return rules
+    return {lhs: tuple((s, b, tuple(x for k, x in reversed(s) if k == NT)) for s, b in alts) for lhs, alts in rules.items()}
 
 
 def map_genome(
@@ -95,39 +123,36 @@ def map_genome(
 ) -> MappingOutcome:
     """Leftmost grammatical-evolution mapping, one codon per expansion.
 
-    The alternative index is the next codon modulo the alternative count.
-    The codon stream may wrap at most ``wrap_limit`` times; running out
-    after the final wrap yields Invalid(WRAP_LIMIT).  Expanding a
-    nonterminal deeper than ``max_depth`` yields Invalid(DEPTH_LIMIT).
+    The alternative index, recorded in the derivation, is the next codon modulo
+    the alternative count.  The codon stream may wrap at most ``wrap_limit``
+    times; running out after the final wrap yields Invalid(WRAP_LIMIT).
+    Expanding a nonterminal deeper than ``max_depth`` yields Invalid(DEPTH_LIMIT).
     """
     if not genome:
         raise ValueError("genome must be non-empty")
     budget = len(genome) * (wrap_limit + 1)
-    reads = 0
-    work = [("<program>", 0)]  # nonterminals left to expand, leftmost last
-    chosen = []  # (build, arity) of each expansion, in pre-order
-    while work:
-        name, depth = work.pop()
+    names = ["<program>"]  # nonterminals left to expand, leftmost last; None ends a level
+    depth = 0  # of the nonterminal on top
+    derivation = []
+    while names:
+        name = names.pop()
+        if name is None:
+            depth -= 1
+            continue
         if depth >= max_depth:
-            return MappingOutcome(program=None, consumed=reads, invalid="DEPTH_LIMIT")
+            return MappingOutcome(tuple(derivation), grammar, "DEPTH_LIMIT")
+        reads = len(derivation)  # one codon per expansion
         if reads >= budget:
-            return MappingOutcome(program=None, consumed=reads, invalid="WRAP_LIMIT")
-        codon = genome[reads % len(genome)]
-        reads += 1
+            return MappingOutcome(tuple(derivation), grammar, "WRAP_LIMIT")
         alts = grammar[name]
-        symbols, build = alts[codon % len(alts)]
-        children = [(text, depth + 1) for kind, text in symbols if kind == NT]
-        chosen.append((build, len(children)))
-        work.extend(reversed(children))
-    # children follow their parent in pre-order, so folding from the end
-    # leaves an expansion's child values on top of the stack, leftmost last
-    values = []
-    for build, arity in reversed(chosen):
-        if arity:
-            build = build(*values[: -arity - 1 : -1])
-            del values[-arity:]
-        values.append(build)
-    return MappingOutcome(program=values[0], consumed=reads)
+        choice = genome[reads % len(genome)] % len(alts)
+        derivation.append(choice)
+        children = alts[choice][2]
+        if children:
+            names.append(None)
+            names += children
+            depth += 1
+    return MappingOutcome(tuple(derivation), grammar)
 
 
 def render_grammar(grammar: Grammar) -> str:
@@ -135,7 +160,7 @@ def render_grammar(grammar: Grammar) -> str:
     lines = []
     for lhs, alts in grammar.items():
         rendered = []
-        for symbols, _ in alts:
+        for symbols, *_ in alts:
             rendered.append(" ".join(sym if kind == NT else f'"{sym}"' for kind, sym in symbols))
         lines.append(f"{lhs} ::= " + " | ".join(rendered))
     return "\n".join(lines) + "\n"

@@ -52,7 +52,9 @@ A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
 or an iterate; the tests and effects after it run fused with it), so its
 length never deepens the Python stack; only iterate nesting does, and
-the parser bounds that.
+the parser bounds that.  The loop hands each outcome to a callback:
+``explore`` collects them all, and an iterate body's committed choice
+stops at the first, so a walk step is a plain call, not a generator.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -156,11 +158,11 @@ def _compile(program: Program, model: Model):
 
     # A compiled conjunction is (head, stages).  Tests and effects compile
     # to steps: (env, state) -> one outcome or None.  Constraint
-    # enumerations and iterates compile to generators of outcomes.  Each
-    # generator becomes a stage together with the steps that follow it
-    # (fused into one), and steps before the first generator are the
-    # head.  Every atom spends one step of fuel when it starts, in the
-    # same order as if each had a stack level of its own.
+    # enumerations and iterates compile to generators: (env, state) -> an
+    # iterator of outcomes.  Each generator becomes a stage together with
+    # the steps that follow it (fused into one), and steps before the first
+    # generator are the head.  Every atom spends one step of fuel when it
+    # starts, in the same order as if each had a stack level of its own.
 
     def spend() -> None:
         nonlocal remaining
@@ -168,37 +170,42 @@ def _compile(program: Program, model: Model):
             raise _Truncated
         remaining -= 1
 
-    def run(conj, env, state):
-        """Outcomes of a compiled conjunction, depth-first: one iterator per stage."""
+    def runner(conj):
+        """``run(env, state, emit=None)``: outcomes to ``emit`` depth-first; the first it accepts (or the first), else None."""
         head, stages = conj
-        if head is not None:
-            outcome = head(env, state)
-            if outcome is None:
-                return
-            env, state = outcome
         last = len(stages)
-        if not last:
-            yield env, state
-            return
-        stack = [stages[0][0](env, state)]
-        depth = 1  # len(stack), kept in a local: this loop is the hot path
-        while depth:
-            for env2, state2 in stack[-1]:
-                tail = stages[depth - 1][1]
-                if tail is not None:
-                    outcome = tail(env2, state2)
-                    if outcome is None:
-                        continue
-                    env2, state2 = outcome
-                if depth == last:
-                    yield env2, state2
+
+        def run(env, state, emit=None):
+            if head is not None:
+                outcome = head(env, state)
+                if outcome is None:
+                    return None
+                env, state = outcome
+            if not last:
+                return (env, state) if emit is None or emit(env, state) else None
+            stack = [stages[0][0](env, state)]
+            depth = 1  # len(stack), kept in a local: this loop is the hot path
+            while depth:
+                for env2, state2 in stack[-1]:
+                    tail = stages[depth - 1][1]
+                    if tail is not None:
+                        outcome = tail(env2, state2)
+                        if outcome is None:
+                            continue
+                        env2, state2 = outcome
+                    if depth == last:
+                        if emit is None or emit(env2, state2):
+                            return env2, state2
+                    else:
+                        stack.append(stages[depth][0](env2, state2))
+                        depth += 1
+                        break
                 else:
-                    stack.append(stages[depth][0](env2, state2))
-                    depth += 1
-                    break
-            else:
-                stack.pop()
-                depth -= 1
+                    stack.pop()
+                    depth -= 1
+            return None
+
+        return run
 
     def fuse(steps):
         """One step running ``steps`` in order, or None for no steps."""
@@ -302,10 +309,7 @@ def _compile(program: Program, model: Model):
 
     def first_outcome(conj):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
-        head, stages = conj
-        if not stages:
-            return head
-        return lambda env, state: next(run(conj, env, state), None)
+        return runner(conj) if conj[1] else conj[0]
 
     def compile_iterate(atom: Iterate, bound: set):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
@@ -319,55 +323,59 @@ def _compile(program: Program, model: Model):
         same = xi == yi
         steps = range(len(walk_scope))
 
+        def walk(env, state, start_vid):
+            # Successors come from the state at entry, which effects copy, never write: the
+            # structural circuit's (its domains hold only scope positions) or the canonical chain's.
+            if not start_bound:
+                env = env[:]
+                env[ss] = start_vid
+            prefixes = []
+            cur, walk_state, body = start_vid, state, first
+            for _ in steps:
+                if structural:
+                    nxt = walk_scope[state[cur - 1] - 1] if cur in walk_pos else None
+                else:
+                    nxt = chain.get(cur)
+                if nxt is None or nxt == start_vid or same and cur != nxt:
+                    break
+                spend()
+                env_step = env[:]
+                env_step[sx] = cur
+                env_step[sy] = nxt
+                outcome = body(env_step, walk_state)
+                if outcome is None:
+                    break
+                env, walk_state = outcome
+                prefixes.append(outcome)
+                cur, body = nxt, later
+            return prefixes
+
         def iterate(env, state):
-            spend()
-            # Successors are read from the state at entry, which effects
-            # copy rather than write: the structural circuit's (its domains
-            # hold only scope positions) or the canonical chain's.
-            for start_vid in (env[ss],) if start_bound else walk_scope:
-                walk_env = env
-                if not start_bound:
-                    walk_env = env[:]
-                    walk_env[ss] = start_vid
-                prefixes = []
-                cur, walk_state, body = start_vid, state, first
-                for _ in steps:
-                    if structural:
-                        nxt = walk_scope[state[cur - 1] - 1] if cur in walk_pos else None
-                    else:
-                        nxt = chain.get(cur)
-                    if nxt is None or nxt == start_vid or same and cur != nxt:
-                        break
-                    spend()
-                    env_step = walk_env[:]
-                    env_step[sx] = cur
-                    env_step[sy] = nxt
-                    outcome = body(env_step, walk_state)
-                    if outcome is None:
-                        break
-                    walk_env, walk_state = outcome
-                    prefixes.append(outcome)
-                    cur, body = nxt, later
-                yield from prefixes
+            spend()  # then one walk from a bound start, or lazily one from each scope variable
+            if start_bound:
+                return iter(walk(env, state, env[ss]))
+            return (outcome for start_vid in walk_scope for outcome in walk(env, state, start_vid))
 
         return iterate, False
 
     COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect, Iterate: compile_iterate}
 
-    conj, _ = compile_conj(program.body, frozenset())
+    run = runner(compile_conj(program.body, frozenset())[0])
 
     def explore(start_values: Assignment, fuel: int, cap: int) -> NeighborSet:
         nonlocal remaining
         remaining = fuel
         results: set[tuple[int, ...]] = set()
-        try:
-            for _, state in run(conj, [None] * len(slots), list(start_values)):
-                candidate = tuple(state)
-                if candidate == start_values or candidate in results:
-                    continue
+
+        def keep(env, state) -> None:
+            candidate = tuple(state)
+            if candidate != start_values and candidate not in results:
                 if len(results) >= cap:
                     raise _Truncated
                 results.add(candidate)
+
+        try:
+            run([None] * len(slots), list(start_values), keep)
             truncated = False
         except _Truncated:
             truncated = True

@@ -150,7 +150,7 @@ def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int = DEFAU
     Returns ``(program, consumed, invalid)`` with the mapper's codon,
     wrap-limit and depth-limit rules.
     """
-    rules = {lhs: [symbols for symbols, _ in alts] for lhs, alts in grammar.items()}
+    rules = {lhs: [symbols for symbols, *_ in alts] for lhs, alts in grammar.items()}
     budget = len(genome) * (wrap_limit + 1)
     reads = 0
     output = []

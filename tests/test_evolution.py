@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import noodle.evolution
 from noodle.evolution import EvolutionConfig, Fitness, evaluate_fitness, evolve, sample_seeds_for, vary
 from noodle.grammar import derive_grammar, map_genome
-from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, optimize
+from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
 from noodle.lang.ast import render, renamed, variables_used
 from noodle.lang.parser import parse
 from noodle.model import seed_assignment
@@ -53,7 +53,7 @@ class TestEvaluateFitness:
         program = parse("constraint(all_diff_next, t0, t1)")
         fitness = evaluate_fitness(program, tsp6, samples_for(tsp6))
         assert fitness.tier == "STATIC_REJECT"
-        assert "NO_EFFECT" in fitness.notes
+        assert "NO_EFFECT" in {d.code for d in analyze(program, tsp6).errors}
 
     def test_single_swap_breaks_circuit_on_full_domains(self, tsp6_full):
         program = parse("constraint(circuit, t0, t1), swap_values(t0, t1)")
@@ -153,9 +153,10 @@ class TestEvolve:
     def test_invalid_mappings_are_static_reject(self, tsp6):
         # one codon and no wrap cannot get past <program> ::= <conj>
         config = EvolutionConfig(population_size=10, generations=2, seed=3, genome_length=1, wrap_limit=0)
+        grammar = derive_grammar(tsp6, budget=config.var_budget)
+        assert {map_genome(grammar, (codon,), wrap_limit=0).invalid for codon in range(256)} == {"WRAP_LIMIT"}
         report = evolve(tsp6, config)
         assert report.best_fitness.tier == "STATIC_REJECT"
-        assert report.best_fitness.notes == ("WRAP_LIMIT",)
         assert report.best_program == ""
         assert all(stat.best_program == "" for stat in report.generations)
 
@@ -206,8 +207,9 @@ class TestRenamed:
         raw = parse("constraint(all_diff_next, t0, t1), swap_values(t1, t1)")
         samples = samples_for(tsp6)
         assert evaluate_fitness(raw, tsp6, samples).tier == "BARREN"
-        rejected = evaluate_fitness(parse(render(renamed(optimize(raw)))), tsp6, samples)
-        assert (rejected.tier, rejected.notes) == ("STATIC_REJECT", ("NO_EFFECT",))
+        optimized = parse(render(renamed(optimize(raw))))
+        assert evaluate_fitness(optimized, tsp6, samples).tier == "STATIC_REJECT"
+        assert {d.code for d in analyze(optimized, tsp6).errors} == {"NO_EFFECT"}
         assert render(renamed(raw)) != render(renamed(optimize(raw)))
 
     def test_evolve_scores_each_program_once_up_to_renaming(self, tsp6, monkeypatch):
@@ -220,3 +222,55 @@ class TestRenamed:
         monkeypatch.setattr(noodle.evolution, "evaluate_fitness", counted)
         evolve(tsp6, EvolutionConfig(population_size=40, generations=6, seed=9))
         assert keys and len(keys) == len(set(keys))
+
+
+# short genomes and few codon values make distinct genomes map to one program often
+collision_genomes = st.lists(
+    st.one_of(genomes, st.lists(st.integers(0, 7), min_size=1, max_size=12)), min_size=2, max_size=40
+)
+
+
+class TestDerivationKey:
+    """evolve's first memo level is the derivation: it must be equal exactly when the texts are."""
+
+    @staticmethod
+    def assert_faithful(model, batch):
+        grammar = derive_grammar(model, budget=DEFAULT_VAR_BUDGET)
+        texts, derivations = {}, {}
+        for genome in batch:
+            outcome = map_genome(grammar, genome)
+            if not outcome.ok:
+                continue
+            assert len(outcome.derivation) == outcome.consumed
+            text = render(outcome.program)
+            assert texts.setdefault(outcome.derivation, text) == text
+            assert derivations.setdefault(text, outcome.derivation) == outcome.derivation
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=collision_genomes)
+    def test_tsp6(self, batch, tsp6):
+        self.assert_faithful(tsp6, batch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=collision_genomes)
+    def test_coloring_triangle(self, batch, triangle):
+        self.assert_faithful(triangle, batch)
+
+    def test_evolve_scores_every_mapped_program_up_to_renaming(self, tsp6, monkeypatch):
+        mapped, scored = [], []
+
+        def recorded(*args, **kwargs):
+            outcome = map_genome(*args, **kwargs)
+            mapped.append(outcome)
+            return outcome
+
+        def counted(program, *args, **kwargs):
+            scored.append(render(renamed(program)))
+            return evaluate_fitness(program, *args, **kwargs)
+
+        monkeypatch.setattr(noodle.evolution, "map_genome", recorded)
+        monkeypatch.setattr(noodle.evolution, "evaluate_fitness", counted)
+        evolve(tsp6, EvolutionConfig(population_size=40, generations=6, seed=9))
+        assert len(mapped) == 40 * 6
+        # a missed program would be absent from scored, two merged ones would leave one unscored
+        assert set(scored) == {render(renamed(o.program)) for o in mapped if o.ok}

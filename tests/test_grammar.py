@@ -78,7 +78,7 @@ class TestDeriveGrammar:
             rules = derive_grammar(model, budget=6)
             for alternatives in rules.values():
                 assert len(alternatives) >= 1
-                for symbols, _ in alternatives:
+                for symbols, *_ in alternatives:
                     assert {text for kind, text in symbols if kind == NT} <= rules.keys()
 
     def test_no_constraint_drops_test_atom(self, no_constraint_model):

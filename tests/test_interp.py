@@ -272,6 +272,35 @@ class TestAgainstReference:
         assert_matches_reference(outcome.program, tsp6, seed_assignment(tsp6, sample_seed), fuel=fuel, cap=cap)
 
 
+# iterate bodies whose committed choice runs through two or more generator
+# stages: an enumerating constraint then another (a test once bound on later
+# steps), or a nested iterate, which is a stage on every step
+COMMITTED_CHOICE = [
+    ("tsp6", "iterate(t0 - t1, t2, (constraint(all_diff_next, t3, t4), constraint(all_diff_next, t4, t5), swap_values(t3, t5)))"),
+    ("tsp6_full", "iterate(t0 - t1, t2, (constraint(all_diff_next, t1, t3), iterate(t4 - t5, t3, (swap_values(t4, t5))), "
+     "constraint(all_diff_next, t5, t6), swap_values(t0, t6)))"),
+    ("tsp6_full", "iterate(t0 - t1, t2, (iterate(t3 - t4, t1, (swap_values(t3, t4))), constraint(all_diff_next, t4, t5), swap_values(t0, t5)))"),
+]
+
+
+class TestCommittedChoice:
+    """A multi-stage iterate body stops at its first outcome, atom for atom and step for step as the reference."""
+
+    @pytest.mark.parametrize("fixture, text", COMMITTED_CHOICE)
+    def test_every_fuel_and_cap(self, fixture, text, request):
+        model = request.getfixturevalue(fixture)
+        program = parse(text)
+        for seed in range(3):
+            start = seed_assignment(model, seed)
+            fuel = 0
+            while neighbors(program, model, start, fuel=fuel).truncated:
+                assert_matches_reference(program, model, start, fuel=fuel)
+                fuel += 1
+            assert_matches_reference(program, model, start, fuel=fuel)
+            for cap in (0, 1, 5):
+                assert_matches_reference(program, model, start, cap=cap)
+
+
 class TestUnboundOperands:
     """A program that skipped the analyzer: an effect with an unbound operand spends its step and fails its branch."""
 
