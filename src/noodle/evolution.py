@@ -189,12 +189,20 @@ def vary(
     if len(parent_a) != len(parent_b):
         raise ValueError("parents must have equal genome lengths")
     length = len(parent_a)
-    draw, randrange = rng.random, rng.randrange
+    draw, getrandbits = rng.random, rng.getrandbits
     if length > 1 and draw() < crossover_rate:
-        point = randrange(1, length)
+        point = rng.randrange(1, length)
         parent_a, parent_b = parent_a[:point] + parent_b[point:], parent_b[:point] + parent_a[point:]
     # one draw per codon, in order, and a fresh codon drawn right after each hit
-    return tuple(tuple([randrange(256) if draw() < mutation_rate else c for c in parent]) for parent in (parent_a, parent_b))
+    children = [list(parent_a), list(parent_b)]
+    for child in children:
+        for i in range(length):
+            if draw() < mutation_rate:
+                codon = getrandbits(9)
+                while codon >= 256:  # randrange(256)'s own rejection loop and draws, without its Python frames
+                    codon = getrandbits(9)
+                child[i] = codon
+    return tuple(children[0]), tuple(children[1])
 
 
 def sample_seeds_for(config: EvolutionConfig) -> tuple[int, ...]:

@@ -50,11 +50,30 @@ level.  Bindings live in a list with one slot per program variable.
 
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
-or an iterate; the tests and effects after it run fused with it), so its
-length never deepens the Python stack; only iterate nesting does, and
-the parser bounds that.  The loop hands each outcome to a callback:
-``explore`` collects them all, and an iterate body's committed choice
-stops at the first, so a walk step is a plain call, not a generator.
+or an iterate); the tests and effects after it run as one chain of calls,
+each passing its outcome straight to the next, split every ``MAX_CHAIN``
+steps so that a conjunction's length never deepens the Python stack far;
+only iterate nesting does, and the parser bounds that.  The loop hands
+each outcome to a callback: ``explore`` collects them all, and an iterate
+body's committed choice stops at the first, so a walk step is a plain
+call, not a generator.
+
+Walk reuse: a walk depends only on its entry state, its start and the
+entry values of the variables its body reads.  An iterate is marked at
+compile time when an enumerating constraint ran since the last state
+change (an effect or an iterate) and bound a variable the walk (its body
+and its start) does not read: then sibling branches of that enumeration
+reach it with the same state object and usually repeat an earlier
+walk, as 2-opt's walk from t1 does once per (t2, t3).  A marked iterate
+keeps the walks it ran from the last state object it saw, keyed on the
+start and the values read; states are never written once built, so the
+same object means the same state, and another object drops the kept
+walks.  A repeated walk spends its recorded steps in one go when the
+fuel left covers them, and its outcomes are rebuilt from the current
+bindings plus the variables the walk writes; when the fuel does not
+cover them the walk runs again, so truncation falls on the same step as
+a first run's.  Unmarked iterates keep nothing: a cache that rarely hits
+costs more than it saves.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -73,6 +92,7 @@ from noodle.model import Assignment, Model
 
 DEFAULT_FUEL = 1_000_000
 DEFAULT_CAP = 100_000
+MAX_CHAIN = 64  # steps called one from the next before a chain is split into stages
 
 
 @dataclass(frozen=True)
@@ -146,29 +166,26 @@ def _compile(program: Program, model: Model):
                 def relation(state):
                     return sorted(pairs(state))
             else:
+                tests = [c.holds for c in constraints]
 
                 def relation(state):
                     return sorted({p for c in constraints for p in c.pairs(state)})
 
                 def holds(state, a, b):
-                    return any(c.holds(state, a, b) for c in constraints)
+                    return any(test(state, a, b) for test in tests)
 
             by_name[name] = relation, holds
         return by_name[name]
 
     # A compiled conjunction is (head, stages).  Tests and effects compile
-    # to steps: (env, state) -> one outcome or None.  Constraint
-    # enumerations and iterates compile to generators: (env, state) -> an
-    # iterator of outcomes.  Each generator becomes a stage together with
-    # the steps that follow it (fused into one), and steps before the first
-    # generator are the head.  Every atom spends one step of fuel when it
-    # starts, in the same order as if each had a stack level of its own.
-
-    def spend() -> None:
-        nonlocal remaining
-        if remaining <= 0:
-            raise _Truncated
-        remaining -= 1
+    # to steps: (env, state) -> one outcome or None, made by ``make(then)``
+    # to pass their outcome on to ``then``, the step after them, so a run
+    # of steps is one chain of calls.  Constraint enumerations and iterates
+    # compile to generators: (env, state) -> an iterator of outcomes.  Each
+    # generator becomes a stage together with the chain that follows it,
+    # and the chain before the first generator is the head.  Every atom
+    # spends one step of fuel when it starts, checked inline, in the same
+    # order as if each had a stack level of its own.
 
     def runner(conj):
         """``run(env, state, emit=None)``: outcomes to ``emit`` depth-first; the first it accepts (or the first), else None."""
@@ -207,61 +224,64 @@ def _compile(program: Program, model: Model):
 
         return run
 
-    def fuse(steps):
-        """One step running ``steps`` in order, or None for no steps."""
-        if len(steps) <= 1:
-            return steps[0] if steps else None
-
-        def fused(env, state):
-            for step in steps:
-                outcome = step(env, state)
-                if outcome is None:
-                    return None
-                env, state = outcome
-            return env, state
-
-        return fused
-
     def compile_conj(atoms, bound: frozenset):
         """The compiled conjunction and the variables bound after it, memoized."""
         key = (id(atoms), bound)
         if key not in compiled:
-            live = set(bound)
-            closures = [COMPILERS[type(atom)](atom, live) for atom in atoms]
-            stages, steps = [], []  # built back to front
+            live, fresh = set(bound), set()  # fresh: what enumerations bound since the last effect or iterate
+            closures = [COMPILERS[type(atom)](atom, live, fresh) for atom in atoms]
+            stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
+                if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
+                    stages.append(((lambda env, state, chain=then: filter(None, [chain(env, state)])), None))
+                    then, length = None, 0
                 if is_step:
-                    steps.append(closure)
+                    then, length = closure(then), length + 1
                 else:
-                    stages.append((closure, fuse(steps[::-1])))
-                    steps = []
-            compiled[key] = (fuse(steps[::-1]), tuple(reversed(stages))), frozenset(live)
+                    stages.append((closure, then))
+                    then, length = None, 0
+            compiled[key] = (then, tuple(reversed(stages))), frozenset(live)
         return compiled[key]
 
     def fail(env, state):
         """An effect with an operand the analyzer missed unbound: it spends its step and fails."""
-        spend()
+        nonlocal remaining
+        if remaining <= 0:
+            raise _Truncated
+        remaining -= 1
         return None
 
-    def compile_constraint(atom: ConstraintAtom, bound: set):
+    def compile_constraint(atom: ConstraintAtom, bound: set, fresh: set):
         relation, holds = lookup(atom.name)
         ai, bi = atom.a.index, atom.b.index
         sa, sb = slots[ai], slots[bi]
         a_bound, b_bound = ai in bound, bi in bound
+        fresh.update({ai, bi} - bound)  # what an enumeration binds; a test binds nothing
         bound.update((ai, bi))
 
         if a_bound and b_bound:
 
-            def test(env, state):
-                spend()
-                return (env, state) if holds(state, env[sa], env[sb]) else None
+            def make(then):
+                def test(env, state):
+                    nonlocal remaining
+                    if remaining <= 0:
+                        raise _Truncated
+                    remaining -= 1
+                    if not holds(state, env[sa], env[sb]):
+                        return None
+                    return then(env, state) if then else (env, state)
 
-            return test, True
+                return test
+
+            return make, True
 
         same = ai == bi  # constraint(name, t, t) binds t to u only where u == v
 
         def bind(env, state):
-            spend()
+            nonlocal remaining
+            if remaining <= 0:
+                raise _Truncated
+            remaining -= 1
             a = env[sa] if a_bound else None
             b = env[sb] if b_bound else None
             for u, v in relation(state):
@@ -273,57 +293,97 @@ def _compile(program: Program, model: Model):
 
         return bind, False
 
-    def compile_swap(atom: Swap, bound: set):
+    def compile_swap(atom: Swap, bound: set, fresh: set):
+        fresh.clear()
         if atom.a.index not in bound or atom.b.index not in bound:
-            return fail, True
+            return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
 
-        def swap(env, state):
-            spend()
-            a, b = env[sa], env[sb]
-            va, vb = state[a - 1], state[b - 1]
-            if vb not in domains[a - 1] or va not in domains[b - 1]:
-                return None
-            state2 = state[:]
-            state2[a - 1], state2[b - 1] = vb, va
-            return env, state2
+        def make(then):
+            def swap(env, state):
+                nonlocal remaining
+                if remaining <= 0:
+                    raise _Truncated
+                remaining -= 1
+                a, b = env[sa], env[sb]
+                va, vb = state[a - 1], state[b - 1]
+                if vb not in domains[a - 1] or va not in domains[b - 1]:
+                    return None
+                state2 = state[:]
+                state2[a - 1], state2[b - 1] = vb, va
+                return then(env, state2) if then else (env, state2)
 
-        return swap, True
+            return swap
 
-    def compile_redirect(atom: Redirect, bound: set):
+        return make, True
+
+    def compile_redirect(atom: Redirect, bound: set, fresh: set):
+        fresh.clear()
         if atom.a.index not in bound or atom.b.index not in bound:
-            return fail, True
+            return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
 
-        def redirect(env, state):
-            spend()
-            a = env[sa]
-            position = walk_pos.get(env[sb])
-            if position is None or position not in domains[a - 1]:
-                return None
-            state2 = state[:]
-            state2[a - 1] = position
-            return env, state2
+        def make(then):
+            def redirect(env, state):
+                nonlocal remaining
+                if remaining <= 0:
+                    raise _Truncated
+                remaining -= 1
+                a = env[sa]
+                position = walk_pos.get(env[sb])
+                if position is None or position not in domains[a - 1]:
+                    return None
+                state2 = state[:]
+                state2[a - 1] = position
+                return then(env, state2) if then else (env, state2)
 
-        return redirect, True
+            return redirect
+
+        return make, True
 
     def first_outcome(conj):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set):
+    def compile_iterate(atom: Iterate, bound: set, fresh: set):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
+        walks = walks_state = None  # a marked iterate's walks from the state it last saw, by start and reads
+        if fresh:  # an enumeration ran since the last state change: mark the walk if it reads none of what it bound
+            reads = variables_used(Program(atom.body)) | {si}
+            if fresh - reads:
+                walks, entry = {}, set(bound)
+                keyed = [slots[v] for v in sorted(reads & entry - {xi, yi, si})]  # entry values the body reads
+            fresh.clear()
         bound.update((xi, yi, si))
         conj, bound_later = compile_conj(atom.body, frozenset(bound))
         first = first_outcome(conj)
         later = first_outcome(compile_conj(atom.body, bound_later)[0])
         bound |= bound_later
+        if walks is not None:
+            written = [slots[v] for v in sorted(bound - entry | {xi, yi})]
         same = xi == yi
         steps = range(len(walk_scope))
 
         def walk(env, state, start_vid):
+            nonlocal remaining, walks_state
+            if walks is not None:
+                if state is not walks_state:  # states are never written, so identity is equality
+                    walks.clear()
+                    walks_state = state
+                key = (start_vid, *[env[slot] for slot in keyed])
+                hit = walks.get(key)
+                if hit is not None and hit[0] <= remaining:  # a walk already run: its steps in one go
+                    remaining -= hit[0]
+                    rebuilt = []
+                    for walked, walk_state in hit[1]:
+                        env2 = env[:]
+                        for slot in written:
+                            env2[slot] = walked[slot]
+                        rebuilt.append((env2, walk_state))
+                    return rebuilt
+                entry_remaining = remaining
             # Successors come from the state at entry, which effects copy, never write: the
             # structural circuit's (its domains hold only scope positions) or the canonical chain's.
             if not start_bound:
@@ -338,7 +398,9 @@ def _compile(program: Program, model: Model):
                     nxt = chain.get(cur)
                 if nxt is None or nxt == start_vid or same and cur != nxt:
                     break
-                spend()
+                if remaining <= 0:
+                    raise _Truncated
+                remaining -= 1
                 env_step = env[:]
                 env_step[sx] = cur
                 env_step[sy] = nxt
@@ -348,10 +410,15 @@ def _compile(program: Program, model: Model):
                 env, walk_state = outcome
                 prefixes.append(outcome)
                 cur, body = nxt, later
+            if walks is not None:
+                walks[key] = entry_remaining - remaining, prefixes
             return prefixes
 
         def iterate(env, state):
-            spend()  # then one walk from a bound start, or lazily one from each scope variable
+            nonlocal remaining
+            if remaining <= 0:
+                raise _Truncated
+            remaining -= 1  # then one walk from a bound start, or lazily one from each scope variable
             if start_bound:
                 return iter(walk(env, state, env[ss]))
             return (outcome for start_vid in walk_scope for outcome in walk(env, state, start_vid))

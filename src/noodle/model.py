@@ -102,19 +102,17 @@ class ConstraintDecl:
         return pairs
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        """1-based position of each scope variable, built on the first ``holds``."""
-        return {vid: i + 1 for i, vid in enumerate(self.scope)}
-
-    def holds(self, values: tuple[int, ...], a: int, b: int) -> bool:
-        """Whether ``(a, b) in self.pairs(values)``, answered without building the relation."""
-        if self.kind == "circuit":
-            positions = self._positions
-            return a in positions and values[a - 1] == positions.get(b)
+    def holds(self):
+        """``holds(values, a, b)``: whether ``(a, b) in self.pairs(values)``, answered without
+        building the relation.  The test is specialised to the kind on first use, so a caller
+        that keeps it pays no dispatch per query."""
+        scope = self.scope
         if self.kind == "not_equal":
-            return (a, b) == self.scope or (b, a) == self.scope
-        positions = self._positions
-        return a != b and a in positions and b in positions and values[a - 1] == values[b - 1]
+            return lambda values, a, b: (a, b) == scope or (b, a) == scope
+        positions = {vid: i + 1 for i, vid in enumerate(scope)}
+        if self.kind == "circuit":
+            return lambda values, a, b: a in positions and values[a - 1] == positions.get(b)
+        return lambda values, a, b: a != b and a in positions and b in positions and values[a - 1] == values[b - 1]
 
 
 @dataclass(frozen=True)

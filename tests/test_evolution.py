@@ -113,6 +113,24 @@ class TestVary:
         assert first == second
         assert first[0] != a  # 20 resamples virtually never reproduce all-zero
 
+    @pytest.mark.parametrize("mutation_rate", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("crossover_rate", [0.0, 0.9])
+    def test_codons_drawn_as_randrange_draws_them(self, crossover_rate, mutation_rate):
+        # the rng stream, and with it every seeded output, is the one randrange(256) gives
+        def reference(parent_a, parent_b, rng):
+            if rng.random() < crossover_rate:
+                point = rng.randrange(1, len(parent_a))
+                parent_a, parent_b = parent_a[:point] + parent_b[point:], parent_b[:point] + parent_a[point:]
+            return tuple(tuple(rng.randrange(256) if rng.random() < mutation_rate else c for c in p) for p in (parent_a, parent_b))
+
+        for seed in range(50):
+            genomes = random.Random(seed)
+            a, b = (tuple(genomes.randrange(256) for _ in range(40)) for _ in range(2))
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            rates = {"crossover_rate": crossover_rate, "mutation_rate": mutation_rate}
+            assert vary(a, b, rng, **rates) == reference(a, b, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             vary((1, 2), (1, 2, 3), random.Random(0))

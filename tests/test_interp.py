@@ -272,6 +272,18 @@ class TestAgainstReference:
         assert_matches_reference(outcome.program, tsp6, seed_assignment(tsp6, sample_seed), fuel=fuel, cap=cap)
 
 
+def assert_every_fuel_and_cap(program, model, start, caps=range(6)):
+    """Match the reference at every fuel up to one past a full run, and at each cap in ``caps``."""
+    fuel = 0
+    while neighbors(program, model, start, fuel=fuel).truncated:
+        assert_matches_reference(program, model, start, fuel=fuel)
+        fuel += 1
+    assert_matches_reference(program, model, start, fuel=fuel)
+    assert_matches_reference(program, model, start, fuel=fuel + 1)
+    for cap in caps:
+        assert_matches_reference(program, model, start, cap=cap)
+
+
 # iterate bodies whose committed choice runs through two or more generator
 # stages: an enumerating constraint then another (a test once bound on later
 # steps), or a nested iterate, which is a stage on every step
@@ -291,14 +303,7 @@ class TestCommittedChoice:
         model = request.getfixturevalue(fixture)
         program = parse(text)
         for seed in range(3):
-            start = seed_assignment(model, seed)
-            fuel = 0
-            while neighbors(program, model, start, fuel=fuel).truncated:
-                assert_matches_reference(program, model, start, fuel=fuel)
-                fuel += 1
-            assert_matches_reference(program, model, start, fuel=fuel)
-            for cap in (0, 1, 5):
-                assert_matches_reference(program, model, start, cap=cap)
+            assert_every_fuel_and_cap(program, model, seed_assignment(model, seed), caps=(0, 1, 5))
 
 
 class TestUnboundOperands:
@@ -400,3 +405,59 @@ class TestCompiledReuse:
         explore = interp._last[2]
         neighbors(two_opt, tsp6, seed_assignment(tsp6, 2), fuel=10, cap=1)
         assert interp._last[2] is explore
+
+
+def successor_model(cities):
+    """Like tsp6 without costs: a tour as a successor array, each variable's own position left out of its domain."""
+    names = [f"n{i}" for i in range(1, cities + 1)]
+    return load_model({
+        "name": f"successor{cities}",
+        "variables": [{"name": name, "domain": {"set": [v for v in range(1, cities + 1) if v != i]}} for i, name in enumerate(names, 1)],
+        "groups": {"next": names},
+        "constraints": [{"kind": "circuit", "scope": "next", "alias": "all_diff_next"}],
+        "structural": 0,
+    })
+
+
+class TestTwoOptSweep:
+    """2-opt walks the tour from t1 once per (t2, t3) branch and reuses the walk: one fuel deduction
+    per reused walk where the fuel left covers it, a re-run that truncates on the same step where not."""
+
+    @pytest.mark.parametrize("cities", [6, 9])
+    def test_every_fuel_and_cap(self, cities, two_opt, tsp6):
+        model = tsp6 if cities == 6 else successor_model(cities)
+        assert_every_fuel_and_cap(two_opt, model, seed_assignment(model, 0), caps=range(41))
+
+
+# (model, the name its constraints go by)
+REUSE_MODELS = [(load_model(fixture_text("tsp6.json")), "all_diff_next"), (ALL_DIFFERENT5, "all_different"), (SHARED_NAME5, "link")]
+
+# an iterate is marked for reuse when an enumeration ran since the last effect or
+# iterate and bound a variable the walk (its body and its start) does not read
+WALK_REUSE = {
+    "bound start": "constraint({n}, t0, t1), constraint({n}, t2, t3), iterate(t4 - t5, t1, (swap_values(t4, t5))), swap_values(t0, t2)",
+    "unbound start": "constraint({n}, t0, t1), iterate(t2 - t3, t4, (swap_values(t2, t3))), swap_values(t0, t4)",
+    "body reads an enumerated variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
+    "iterate(t4 - t5, t1, (constraint({n}, t4, t0), swap_values(t4, t5))), swap_values(t2, t5)",
+    "body binds a variable": "constraint({n}, t0, t1), iterate(t2 - t3, t0, (constraint({n}, t3, t4), swap_values(t2, t4))), swap_values(t1, t4)",
+    "enumeration binds x": "constraint({n}, t4, t0), constraint({n}, t1, t2), iterate(t4 - t5, t1, (swap_values(t4, t5))), swap_values(t0, t4)",
+    "enumeration binds y and the start": "constraint({n}, t0, t5), iterate(t4 - t5, t0, (swap_values(t4, t5))), swap_values(t0, t5)",
+    "test in between": "constraint({n}, t0, t1), constraint({n}, t2, t3), constraint({n}, t1, t2), "
+    "iterate(t4 - t5, t0, (swap_values(t4, t5))), swap_values(t0, t3)",
+    "effect before the enumeration": "constraint({n}, t0, t1), swap_values(t0, t1), constraint({n}, t2, t3), "
+    "iterate(t4 - t5, t2, (swap_values(t4, t5))), swap_values(t1, t5)",
+    "effect in between, not marked": "constraint({n}, t0, t1), constraint({n}, t2, t3), swap_values(t0, t2), "
+    "iterate(t4 - t5, t1, (swap_values(t4, t5)))",
+    "nested in an iterate body": "iterate(t0 - t1, t2, (constraint({n}, t3, t4), iterate(t5 - t6, t1, (swap_values(t5, t6))), swap_values(t3, t6)))",
+}
+
+
+class TestWalkReuse:
+    """Each shape of the reuse rule, marked or not, stays the reference's at every fuel and cap."""
+
+    @pytest.mark.parametrize("model, name", REUSE_MODELS, ids=lambda value: getattr(value, "name", None))
+    @pytest.mark.parametrize("shape", WALK_REUSE)
+    def test_matches_reference(self, shape, model, name):
+        program = parse(WALK_REUSE[shape].format(n=name))
+        for seed in range(2):
+            assert_every_fuel_and_cap(program, model, random_start(model, seed))
