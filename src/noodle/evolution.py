@@ -7,7 +7,10 @@ an operator preserves a kind only if no generated neighbor violates it.
 Fitness comparison is lexicographic: tier (VALID > BARREN >
 STATIC_REJECT), then kinds preserved, then productivity (the smallest
 per-sample count of feasible neighbors), then fewer atoms.  `evolve`
-scores each program once per run up to variable renaming.
+scores each program once per run up to variable renaming, on the mapper's
+key.  Samples that are equal share one run, and so do samples a model
+automorphism maps onto each other when the program is label-free (see
+`noodle.lang.interp`): the run's figures stand for its whole class.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from noodle.grammar import (
     map_genome,
 )
 from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
-from noodle.lang.ast import Program, atom_count, render, renamed
+from noodle.lang.ast import Program, atom_count, render
 from noodle.lang.interp import neighbors
 from noodle.model import Assignment, Model, seed_assignment, violations
 from noodle.util import split_seed
@@ -145,8 +148,11 @@ def evaluate_fitness(
     ``preserved`` counts the model's constraint kinds that `violations`
     names for no inspected neighbor, ``productivity`` the smallest
     per-sample count of feasible neighbors (those it names no kind for),
-    and ``size_penalty`` the optimized program's atom count.
+    and ``size_penalty`` the optimized program's atom count.  A sample in
+    the class of one already run (see the module docstring) is not run.
     """
+    if not samples:
+        raise ValueError("samples must be non-empty")
     if not analyze(program, model, budget=budget).ok:
         return Fitness(tier="STATIC_REJECT", size_penalty=atom_count(program))
 
@@ -156,8 +162,12 @@ def evaluate_fitness(
     broken: set[str] = set()
     productivity = None
     notes: list[str] = []
+    ran: list[tuple[Assignment, bool]] = []  # each sample run, and whether its run completed
     for sample in samples:
+        if any(sample == other or complete and result.label_free and model.automorphic(other, sample) for other, complete in ran):
+            continue
         result = neighbors(optimized, model, sample, fuel=fuel, cap=cap)
+        ran.append((sample, not result.truncated))
         if result.truncated and "TRUNCATED" not in notes:
             notes.append("TRUNCATED")
         if len(result) == 0:
@@ -222,13 +232,9 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
         for _ in range(config.population_size)
     ]
 
-    # one fitness per program up to variable renaming over the whole run,
-    # keyed on the derivation (equal exactly when the texts are) and, on a
-    # miss, on the renamed raw text of the tree then built: renaming moves
-    # neither analysis nor fitness.  Optimized text is no key: dropping a
-    # self-swap can turn a BARREN program's text into a STATIC_REJECT one's.
-    by_derivation: dict[tuple[int, ...], Fitness] = {}
-    by_renamed: dict[str, Fitness] = {}
+    # one fitness per mapper key over the run (renaming moves neither analysis nor
+    # fitness); optimized text is no key, as dropping a self-swap can leave no effect
+    memo: dict[tuple[int, ...], Fitness] = {}
     invalid_mapping = Fitness(tier="STATIC_REJECT")
     best_genome = population[0]
     best_fitness = None
@@ -246,20 +252,16 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
             if not outcome.ok:
                 fitnesses.append(invalid_mapping)
                 continue
-            fitness = by_derivation.get(outcome.derivation)
+            fitness = memo.get(outcome.key)
             if fitness is None:
-                key = render(renamed(outcome.program))
-                fitness = by_renamed.get(key)
-                if fitness is None:
-                    fitness = by_renamed[key] = evaluate_fitness(
-                        outcome.program,
-                        model,
-                        samples,
-                        fuel=config.fuel,
-                        cap=config.inspection_cap,
-                        budget=config.var_budget,
-                    )
-                by_derivation[outcome.derivation] = fitness
+                fitness = memo[outcome.key] = evaluate_fitness(
+                    outcome.program,
+                    model,
+                    samples,
+                    fuel=config.fuel,
+                    cap=config.inspection_cap,
+                    budget=config.var_budget,
+                )
             fitnesses.append(fitness)
 
         keys = [f.key() for f in fitnesses]

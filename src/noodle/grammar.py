@@ -8,8 +8,11 @@ alternative carries the AST constructor its nonterminals feed and, for the
 mapper, those nonterminals reversed.  Mapping a codon genome yields its
 derivation (the chosen alternative indices in pre-order), or an Invalid
 outcome when the wrap or depth limit trips.  The grammar is unambiguous:
-equal derivations mean equal program texts.  Alternative order is part of
-the contract: mapping indexes alternatives by codon value modulo their count.
+equal derivations mean equal program texts.  A mapped genome's key is the
+derivation of its program with the variables renamed t0, t1, ... in
+first-occurrence order, so equal keys mean equal texts up to renaming.
+Alternative order is part of the contract: mapping indexes alternatives by
+codon value modulo their count.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ class MappingOutcome:
     derivation: tuple[int, ...]  # chosen alternative indices, in pre-order
     grammar: Grammar = field(compare=False, repr=False)
     invalid: str | None = None  # WRAP_LIMIT or DEPTH_LIMIT
+    key: tuple[int, ...] | None = field(default=None, compare=False)  # None when invalid
 
     @property
     def ok(self) -> bool:
@@ -133,7 +137,7 @@ def map_genome(
     budget = len(genome) * (wrap_limit + 1)
     names = ["<program>"]  # nonterminals left to expand, leftmost last; None ends a level
     depth = 0  # of the nonterminal on top
-    derivation = []
+    derivation, key, fresh = [], [], {}  # key: the derivation, <var> choices renumbered by first occurrence
     while names:
         name = names.pop()
         if name is None:
@@ -147,12 +151,13 @@ def map_genome(
         alts = grammar[name]
         choice = genome[reads % len(genome)] % len(alts)
         derivation.append(choice)
+        key.append(fresh.setdefault(choice, len(fresh)) if name == "<var>" else choice)
         children = alts[choice][2]
         if children:
             names.append(None)
             names += children
             depth += 1
-    return MappingOutcome(tuple(derivation), grammar)
+    return MappingOutcome(tuple(derivation), grammar, key=tuple(key))
 
 
 def render_grammar(grammar: Grammar) -> str:

@@ -6,7 +6,7 @@ never do, so an effect operand without a prior binding occurrence is an
 error.  Diagnostics are the result, never an exception.
 
 Error codes: UNBOUND_EFFECT, NO_EFFECT, UNKNOWN_CONSTRAINT,
-VAR_BUDGET_EXCEEDED.  Warning codes: SELF_SWAP, DUPLICATE_TEST.
+VAR_BUDGET_EXCEEDED.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class Diagnostic:
 @dataclass(frozen=True)
 class Diagnostics:
     errors: tuple[Diagnostic, ...]
-    warnings: tuple[Diagnostic, ...]
 
     @property
     def ok(self) -> bool:
@@ -37,15 +36,11 @@ class Diagnostics:
 
 def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) -> Diagnostics:
     errors: list[Diagnostic] = []
-    warnings: list[Diagnostic] = []
     bound: set[int] = set()
 
     def visit_conj(atoms) -> None:
-        previous = None
         for atom in atoms:
             if isinstance(atom, ConstraintAtom):
-                if atom == previous:
-                    warnings.append(Diagnostic("DUPLICATE_TEST", f"adjacent duplicate test {atom.name}({atom.a}, {atom.b})"))
                 if not model.constraints_by_name(atom.name):
                     errors.append(Diagnostic("UNKNOWN_CONSTRAINT", f"{atom.name!r} matches no model constraint or alias"))
                 bound.update((atom.a.index, atom.b.index))
@@ -55,12 +50,9 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
                 if unbound:
                     names = ", ".join(str(v) for v in dict.fromkeys(unbound))
                     errors.append(Diagnostic("UNBOUND_EFFECT", f"{head} operand ({names}) has no prior binding occurrence"))
-                if isinstance(atom, Swap) and atom.a == atom.b:
-                    warnings.append(Diagnostic("SELF_SWAP", f"swap_values({atom.a}, {atom.b}) has no effect"))
             else:  # Iterate; the header binds x, y, and start if free
                 bound.update((atom.x.index, atom.y.index, atom.start.index))
                 visit_conj(atom.body)
-            previous = atom
 
     visit_conj(program.body)
 
@@ -72,7 +64,7 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
         names = ", ".join(f"t{v}" for v in over_budget)
         errors.append(Diagnostic("VAR_BUDGET_EXCEEDED", f"{names} beyond budget of {budget} variables (t0..t{budget - 1})"))
 
-    return Diagnostics(errors=tuple(errors), warnings=tuple(warnings))
+    return Diagnostics(errors=tuple(errors))
 
 
 def _optimize_conj(atoms) -> tuple:

@@ -73,23 +73,6 @@ def render(program: Program) -> str:
     return ", ".join(_render_atom(a) for a in program.body)
 
 
-def renamed(program: Program) -> Program:
-    """The program with its variables renumbered t0, t1, ... in first-occurrence order."""
-    fresh: dict[int, Var] = {}
-
-    def var(v: Var) -> Var:
-        return fresh.setdefault(v.index, Var(len(fresh)))
-
-    def rename(atom: Atom) -> Atom:
-        if isinstance(atom, Iterate):  # arguments run left to right: x, y, start, then the body
-            return Iterate(var(atom.x), var(atom.y), var(atom.start), tuple(map(rename, atom.body)))
-        if isinstance(atom, ConstraintAtom):
-            return ConstraintAtom(atom.name, var(atom.a), var(atom.b))
-        return type(atom)(var(atom.a), var(atom.b))
-
-    return Program(tuple(map(rename, program.body)))
-
-
 def walk(atoms):
     """Every atom of ``atoms`` in pre-order, iterate bodies included."""
     for atom in atoms:

@@ -10,8 +10,11 @@ flat-loop interpreter replaced; it shares only the model's constraint
 definitions (``ConstraintDecl.pairs``, walk positions) and the result
 type.  The reference parser is the hand-written tokenizer and per-head
 recursive descent that the package's scan-and-table parser replaced.
-The one exception is `is_local_optimum`, a checker on the climber's
-result that runs the package's interpreter, feasibility and objective.
+The reference automorphism test tries every permutation of the circuit
+positions, not only the alignments of two cycles.  Two exceptions run
+the package's interpreter: `is_local_optimum`, a checker on the
+climber's result, and `reference_evaluate_fitness`, the fitness that
+runs every sample, which the package's sample classes must reproduce.
 """
 
 import re
@@ -19,10 +22,12 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
+from noodle.evolution import DEFAULT_EVAL_FUEL, Fitness
 from noodle.grammar import DEFAULT_MAX_DEPTH
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
+from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var, atom_count
 from noodle.lang.interp import DEFAULT_CAP, DEFAULT_FUEL, NeighborSet, neighbors
-from noodle.model import Assignment, InfeasibleError, Model, is_feasible, objective
+from noodle.model import Assignment, InfeasibleError, Model, is_feasible, objective, violations
 
 
 def successor_cycles(values: tuple[int, ...]) -> int | None:
@@ -142,6 +147,23 @@ def greedy_coloring(order: list[int], adjacency: dict[int, set[int]]) -> dict[in
             color += 1
         colors[vertex] = color
     return colors
+
+
+def renamed(program: Program) -> Program:
+    """The program with its variables renumbered t0, t1, ... in first-occurrence order."""
+    fresh: dict[int, Var] = {}
+
+    def var(v: Var) -> Var:
+        return fresh.setdefault(v.index, Var(len(fresh)))
+
+    def rename(atom):
+        if isinstance(atom, Iterate):  # arguments run left to right: x, y, start, then the body
+            return Iterate(var(atom.x), var(atom.y), var(atom.start), tuple(map(rename, atom.body)))
+        if isinstance(atom, ConstraintAtom):
+            return ConstraintAtom(atom.name, var(atom.a), var(atom.b))
+        return type(atom)(var(atom.a), var(atom.b))
+
+    return Program(tuple(map(rename, program.body)))
 
 
 def text_map_genome(grammar, genome, wrap_limit: int = 2, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -527,4 +549,90 @@ def is_local_optimum(
     result = neighbors(program, model, assignment, fuel=fuel, cap=cap)
     return not any(
         is_feasible(model, nb) and objective(model, nb) < cost for nb in result.assignments
+    )
+
+
+def relabelled(model: Model, assignment: Assignment, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of ``assignment`` when circuit position p moves to ``positions[p - 1]``.
+
+    The structural scope's variable at p moves to the one at the new
+    position, and every value 1..n is renumbered the same way; other
+    variables and values stay.
+    """
+    scope = model.structural_constraint().scope
+    var_map = {scope[p - 1]: scope[q - 1] for p, q in enumerate(positions, 1)}
+    image = list(assignment)
+    for vid, value in enumerate(assignment, 1):
+        image[var_map.get(vid, vid) - 1] = positions[value - 1] if 1 <= value <= len(positions) else value
+    return tuple(image)
+
+
+def reference_automorphic(model: Model, a: Assignment, b: Assignment) -> bool:
+    """Whether some renumbering of the circuit positions maps ``a`` onto ``b`` and the model onto itself."""
+    sc = model.structural_constraint()
+    if sc is None or sum(c.kind == "circuit" for c in model.constraints) != 1:
+        return False
+    scope = sc.scope
+    for positions in permutations(range(1, len(scope) + 1)):
+        if relabelled(model, a, positions) != tuple(b):
+            continue
+        var_map = {scope[p - 1]: scope[q - 1] for p, q in enumerate(positions, 1)}
+        domains_map = all(
+            {positions[v - 1] if 1 <= v <= len(scope) else v for v in decl.domain}
+            == model.variables[var_map.get(vid, vid) - 1].domain
+            for vid, decl in enumerate(model.variables, 1)
+        )
+        others = [(c.kind, c.alias, frozenset(c.scope)) for c in model.constraints if c is not sc]
+        images = [(kind, alias, frozenset(var_map.get(v, v) for v in members)) for kind, alias, members in others]
+        if domains_map and sorted(images, key=repr) == sorted(others, key=repr):
+            return True
+    return False
+
+
+def reference_evaluate_fitness(
+    program: Program,
+    model: Model,
+    samples: list[Assignment],
+    *,
+    fuel: int = DEFAULT_EVAL_FUEL,
+    cap: int = 500,
+    budget: int = DEFAULT_VAR_BUDGET,
+) -> Fitness:
+    """Score one candidate program against feasible sample assignments.
+
+    Analyzer errors are rejected without running the interpreter (tier
+    STATIC_REJECT).  Producing no neighbor at all on some sample is tier
+    BARREN.  Otherwise the candidate is VALID:
+    ``preserved`` counts the model's constraint kinds that `violations`
+    names for no inspected neighbor, ``productivity`` the smallest
+    per-sample count of feasible neighbors (those it names no kind for),
+    and ``size_penalty`` the optimized program's atom count.
+    """
+    if not analyze(program, model, budget=budget).ok:
+        return Fitness(tier="STATIC_REJECT", size_penalty=atom_count(program))
+
+    optimized = optimize(program)
+    size = atom_count(optimized)
+    kinds = {c.kind for c in model.constraints}
+    broken: set[str] = set()
+    productivity = None
+    notes: list[str] = []
+    for sample in samples:
+        result = neighbors(optimized, model, sample, fuel=fuel, cap=cap)
+        if result.truncated and "TRUNCATED" not in notes:
+            notes.append("TRUNCATED")
+        if len(result) == 0:
+            return Fitness(tier="BARREN", size_penalty=size, notes=tuple(notes))
+        feasible = 0
+        for nb in result.assignments:
+            violated = violations(model, nb)
+            feasible += not violated
+            broken |= violated
+        productivity = feasible if productivity is None else min(productivity, feasible)
+    return Fitness(
+        tier="VALID",
+        preserved=len(kinds - broken),
+        productivity=min(productivity, cap),
+        size_penalty=size,
+        notes=tuple(notes),
     )

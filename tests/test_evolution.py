@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import asdict
@@ -10,13 +11,17 @@ import noodle.evolution
 from noodle.evolution import EvolutionConfig, Fitness, evaluate_fitness, evolve, sample_seeds_for, vary
 from noodle.grammar import derive_grammar, map_genome
 from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
-from noodle.lang.ast import render, renamed, variables_used
+from noodle.lang.ast import render, variables_used
+from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
-from noodle.model import seed_assignment
+from noodle.model import InfeasibleError, is_feasible, load_assignment, load_model, seed_assignment
+
+from tests.conftest import fixture_text
+from tests.oracles import reference_automorphic, reference_evaluate_fitness, relabelled, renamed
 
 
-def samples_for(model, count=5):
-    return [seed_assignment(model, seed) for seed in sample_seeds_for(EvolutionConfig(seed=0, sample_count=count))]
+def samples_for(model, count=5, seed=0):
+    return [seed_assignment(model, s) for s in sample_seeds_for(EvolutionConfig(seed=seed, sample_count=count))]
 
 
 class TestFitnessOrdering:
@@ -73,6 +78,10 @@ class TestEvaluateFitness:
         )
         samples = samples_for(tsp6)
         assert evaluate_fitness(raw, tsp6, samples).key() == evaluate_fitness(optimize(raw), tsp6, samples).key()
+
+    def test_empty_samples_rejected(self, tsp6, two_opt):
+        with pytest.raises(ValueError, match="samples must be non-empty"):
+            evaluate_fitness(two_opt, tsp6, [])
 
     def test_evaluation_is_order_independent(self, tsp6):
         grammar = derive_grammar(tsp6, budget=6)
@@ -189,7 +198,7 @@ genomes = st.lists(st.integers(0, 255), min_size=80, max_size=80)
 
 
 class TestRenamed:
-    """evolve memoizes fitness on the renamed raw text, so renaming must not move a fitness."""
+    """evolve memoizes fitness up to variable renaming, so renaming must not move a fitness."""
 
     @staticmethod
     def assert_renaming_is_invisible(model, genome):
@@ -249,20 +258,33 @@ collision_genomes = st.lists(
 
 
 class TestDerivationKey:
-    """evolve's first memo level is the derivation: it must be equal exactly when the texts are."""
+    """The derivation is equal exactly when the texts are, and evolve's memo key
+    exactly when the texts renamed in first-occurrence order are."""
 
     @staticmethod
     def assert_faithful(model, batch):
         grammar = derive_grammar(model, budget=DEFAULT_VAR_BUDGET)
-        texts, derivations = {}, {}
+        texts, derivations, renamed_texts, keys = {}, {}, {}, {}
         for genome in batch:
             outcome = map_genome(grammar, genome)
             if not outcome.ok:
+                assert outcome.key is None
                 continue
             assert len(outcome.derivation) == outcome.consumed
             text = render(outcome.program)
             assert texts.setdefault(outcome.derivation, text) == text
             assert derivations.setdefault(text, outcome.derivation) == outcome.derivation
+            renamed_text = render(renamed(outcome.program))
+            assert renamed_texts.setdefault(outcome.key, renamed_text) == renamed_text
+            assert keys.setdefault(renamed_text, outcome.key) == outcome.key
+
+    def test_key_derives_the_renamed_program(self, tsp6):
+        grammar = derive_grammar(tsp6, budget=DEFAULT_VAR_BUDGET)
+        rng = random.Random(3)
+        for _ in range(300):
+            outcome = map_genome(grammar, [rng.randrange(256) for _ in range(80)])
+            if outcome.ok:
+                assert map_genome(grammar, outcome.key).program == renamed(outcome.program)
 
     @settings(max_examples=150, deadline=None)
     @given(batch=collision_genomes)
@@ -292,3 +314,222 @@ class TestDerivationKey:
         assert len(mapped) == 40 * 6
         # a missed program would be absent from scored, two merged ones would leave one unscored
         assert set(scored) == {render(renamed(o.program)) for o in mapped if o.ok}
+
+
+def narrowed_tsp6(var, values):
+    """tsp6 with one variable's domain narrowed to ``values``."""
+    document = json.loads(fixture_text("tsp6.json"))
+    document["variables"][var]["domain"] = {"set": list(values)}
+    return load_model(document)
+
+
+def symmetric_pairs(model, samples):
+    return {(i, j) for i, j in itertools.permutations(range(len(samples)), 2) if model.automorphic(samples[i], samples[j])}
+
+
+# a circuit whose domains hold self-loops, beside two variables that an all_different
+# ties to the circuit's first variable; their values 1..3 are circuit positions too
+CIRCUIT_WITH_ALL_DIFFERENT = {
+    "name": "circuit5-and-pair",
+    "variables": [{"name": f"n{i}", "domain": {"lo": 1, "hi": 5}} for i in range(1, 6)]
+    + [{"name": name, "domain": {"lo": 1, "hi": 3}} for name in ("c1", "c2")],
+    "groups": {"next": [f"n{i}" for i in range(1, 6)]},
+    "constraints": [{"kind": "circuit", "scope": "next"}, {"kind": "all_different", "scope": ["c1", "c2", "n1"]}],
+    "structural": 0,
+}
+
+
+class TestSampleClasses:
+    """Samples share a run when equal, or when an automorphism maps one onto the other."""
+
+    @pytest.mark.parametrize("seed", json.loads(fixture_text("rediscovery_seeds.json"))["seeds"])
+    def test_pinned_tsp6_samples_form_one_class(self, tsp6, seed):
+        samples = samples_for(tsp6, seed=seed)
+        assert all(tsp6.automorphic(samples[0], sample) for sample in samples)
+
+    def test_narrowed_domain_splits_the_class(self, tsp6):
+        # n1 loses value 5, so an automorphism fixes positions 1 and 5: two tours
+        # stay symmetric only when 5 is as far from 1 along both
+        samples = samples_for(tsp6)
+        assert symmetric_pairs(tsp6, samples) == set(itertools.permutations(range(5), 2))
+        model = narrowed_tsp6(0, (2, 3, 4, 6))
+        pairs = symmetric_pairs(model, samples)
+        assert pairs == {(0, 2), (2, 0), (0, 4), (4, 0), (2, 4), (4, 2), (1, 3), (3, 1)}
+        assert pairs == {(i, j) for i, j in itertools.permutations(range(5), 2) if reference_automorphic(model, samples[i], samples[j])}
+
+    def test_narrowed_domain_with_no_classes(self, tsp6):
+        samples = samples_for(tsp6, seed=10)
+        assert len(set(samples)) == 5
+        assert symmetric_pairs(narrowed_tsp6(5, (2, 3, 5)), samples) == set()
+
+    @pytest.mark.parametrize("var", range(6))
+    def test_automorphic_matches_every_position_permutation(self, tsp6, var):
+        samples = samples_for(tsp6, seed=var + 1)
+        model = narrowed_tsp6(var, sorted({sample[var] for sample in samples}))  # the values the samples use
+        for a, b in itertools.product(samples, repeat=2):
+            assert tsp6.automorphic(a, b) == reference_automorphic(tsp6, a, b)
+            assert model.automorphic(a, b) == reference_automorphic(model, a, b)
+
+    def test_a_large_domain_outside_the_circuit(self, tsp6):
+        # tau fixes every value beyond the circuit's positions, so a million-value
+        # domain is checked on those positions alone
+        document = json.loads(fixture_text("tsp6.json"))
+        document["variables"].append({"name": "big", "domain": {"lo": 1, "hi": 1_000_000}})
+        model = load_model(document)
+        tour = samples_for(tsp6)[0]
+        positions = (3, 1, 2, 6, 4, 5)
+        for value in (2, 7, 999_999):
+            a = (*tour, value)
+            b = relabelled(model, a, positions)
+            assert b[6] == (positions[value - 1] if value <= 6 else value)
+            assert model.automorphic(a, b)
+        assert not model.automorphic((*tour, 7), (*b[:6], 8))  # tau fixes 7
+
+    def test_synth_color12_samples_have_no_classes(self):
+        from tests.test_seeded_output import perfbench_workloads
+
+        workloads = perfbench_workloads()
+        model = load_model(workloads.coloring_document(workloads.COLOR_INSTANCE_SEED))
+        for seed in workloads.COLOR_SYNTH_SEEDS:
+            samples = samples_for(model, seed=seed)
+            assert len(set(samples)) == len(samples)
+            assert symmetric_pairs(model, samples) == set()
+
+    def test_label_free_program_runs_once_per_class(self, tsp6, two_opt, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            result = neighbors(*args, **kwargs)
+            runs.append(result.label_free)
+            return result
+
+        monkeypatch.setattr(noodle.evolution, "neighbors", counted)
+        samples = samples_for(tsp6, seed=1)  # its samples 0 and 1 are equal
+        assert samples[0] == samples[1] and len(set(samples)) == 4
+        assert asdict(evaluate_fitness(two_opt, tsp6, samples)) == asdict(reference_evaluate_fitness(two_opt, tsp6, samples))
+        assert runs == [True]
+        runs.clear()
+        enumerating_body = parse("iterate(t0 - t1, t2, (constraint(all_diff_next, t1, t4), swap_values(t0, t4)))")
+        assert evaluate_fitness(enumerating_body, tsp6, samples).tier == "VALID"
+        assert runs == [False] * 4  # one run per distinct sample
+
+    @pytest.mark.parametrize(
+        "text, label_free",
+        [
+            (fixture_text("two_opt.ndl"), True),
+            ("constraint(all_diff_next, t0, t1), swap_values(t0, t1)", True),
+            ("iterate(t0 - t1, t2, (swap_values(t0, t1)))", True),
+            ("iterate(t0 - t1, t2, (constraint(all_diff_next, t3, t4), swap_values(t3, t4)))", False),
+            ("constraint(all_diff_next, t0, t1), iterate(t2 - t3, t0, (constraint(all_diff_next, t2, t4), redirect(t2, t4)))", False),
+            ("iterate(t0 - t1, t2, (iterate(t3 - t4, t5, (swap_values(t3, t4)))))", False),
+            ("iterate(t0 - t1, t2, (iterate(t3 - t4, t0, (swap_values(t3, t4)))))", True),
+        ],
+    )
+    def test_label_free(self, tsp6, text, label_free):
+        start = load_assignment(fixture_text("tour6.json"))
+        assert neighbors(parse(text), tsp6, start).label_free is label_free
+
+
+fuels = st.sampled_from([0, 1, 5, 30, 200, 2_000, 20_000])
+caps = st.sampled_from([0, 1, 2, 7, 500])
+sample_plans = st.lists(st.tuples(st.sampled_from(["seed", "copy", "relabel"]), st.integers(0, 2**16)), min_size=1, max_size=6)
+
+
+def planned_samples(model, plan):
+    """Feasible samples: seeded ones, copies of earlier ones and earlier ones relabelled."""
+    samples = []
+    for kind, number in plan:
+        if kind == "seed" or not samples:
+            try:
+                samples.append(seed_assignment(model, number))
+            except InfeasibleError:
+                pass
+            continue
+        source = samples[number % len(samples)]
+        if kind == "copy":
+            samples.append(source)
+            continue
+        sc = model.structural_constraint()
+        positions = list(range(1, (len(sc.scope) if sc else max(source)) + 1))
+        random.Random(number).shuffle(positions)
+        if sc is not None:
+            image = relabelled(model, source, tuple(positions))
+        else:  # a renumbering of the values
+            image = tuple(positions[v - 1] for v in source)
+        try:
+            model.validate_assignment(image)
+        except InfeasibleError:
+            continue
+        if is_feasible(model, image):
+            samples.append(image)
+    return samples
+
+
+class TestFitnessAgainstEverySampleRun:
+    """evaluate_fitness with sample classes scores as running every sample does, notes included."""
+
+    programs: dict[str, list] = {}
+
+    @classmethod
+    def evolved_programs(cls, model):
+        """The programs an evolution run maps from its genomes that pass analysis, so that they run."""
+        if model.name not in cls.programs:
+            found = {}
+
+            def recorded(*args, **kwargs):
+                outcome = map_genome(*args, **kwargs)
+                if outcome.ok and outcome.key not in found and analyze(outcome.program, model).ok:
+                    found[outcome.key] = outcome.program
+                return outcome
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(noodle.evolution, "map_genome", recorded)
+                evolve(model, EvolutionConfig(population_size=100, generations=30, seed=2))
+            cls.programs[model.name] = list(found.values())
+        return cls.programs[model.name]
+
+    def assert_matches_reference(self, model, data, plan, fuel, cap):
+        program = data.draw(st.sampled_from(self.evolved_programs(model)))
+        samples = planned_samples(model, plan)
+        assume(samples)
+        got = evaluate_fitness(program, model, samples, fuel=fuel, cap=cap)
+        assert asdict(got) == asdict(reference_evaluate_fitness(program, model, samples, fuel=fuel, cap=cap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_tsp6(self, tsp6, data, plan, fuel, cap):
+        self.assert_matches_reference(tsp6, data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_tsp6_with_an_asymmetric_domain(self, data, plan, fuel, cap):
+        self.assert_matches_reference(narrowed_tsp6(0, (2, 3, 4, 6)), data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_circuit_with_an_all_different(self, data, plan, fuel, cap):
+        self.assert_matches_reference(load_model(CIRCUIT_WITH_ALL_DIFFERENT), data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_coloring_triangle(self, triangle, data, plan, fuel, cap):
+        self.assert_matches_reference(triangle, data, plan, fuel, cap)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "iterate(t0 - t1, t1, (iterate(t1 - t4, t4, (swap_values(t1, t0)))))",
+            "iterate(t0 - t3, t4, (iterate(t3 - t1, t1, (swap_values(t3, t0)))))",
+            "iterate(t0 - t3, t4, (iterate(t1 - t4, t1, (swap_values(t4, t0), swap_values(t0, t1))), constraint(all_diff_next, t0, t3)))",
+            "iterate(t2 - t1, t0, (iterate(t3 - t4, t3, (swap_values(t4, t0))), swap_values(t0, t1)))",
+        ],
+    )
+    def test_programs_that_read_a_label_order_run_every_sample(self, tsp6, text):
+        # an inner walk from an unbound start: committed choice keeps the walk from
+        # the first scope variable, so symmetric samples score differently
+        program = parse(text)
+        samples = samples_for(tsp6)
+        assert not neighbors(optimize(program), tsp6, samples[0]).label_free
+        expected = reference_evaluate_fitness(program, tsp6, samples)
+        assert asdict(expected) != asdict(reference_evaluate_fitness(program, tsp6, samples[:1]))
+        assert asdict(evaluate_fitness(program, tsp6, samples)) == asdict(expected)
