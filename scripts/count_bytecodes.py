@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Count the bytecodes and Python calls the interpreter runs per fuel step.
+"""Count the bytecodes and Python calls that the interpreter runs per fuel
+step, and that fitness evaluation runs per call.
 
-Everything inside each ``neighbors`` call is traced with ``sys.settrace``
-opcode events, on two fixed inputs:
+Everything inside each traced call is counted with ``sys.settrace``
+opcode events, on fixed inputs:
 
-* ``solve-tsp20``: the first neighborhood of perfbench's solve-tsp20
-  workload (``fixtures/two_opt.ndl`` on its 20-city instance, first
-  restart), with the program compiled before counting starts;
+* ``solve-tsp20``: the first ``neighbors`` call of perfbench's
+  solve-tsp20 workload (``fixtures/two_opt.ndl`` on its 20-city instance,
+  first restart), with the program compiled before counting starts;
 * ``synth-tsp6``: every ``neighbors`` call of a small evolution on
   ``fixtures/tsp6.json`` (seed 1, population 200, 5 generations), compiles
-  included.
+  included;
+* ``synth-tsp6 evaluate_fitness`` and ``synth-color12 evaluate_fitness``:
+  every ``evaluate_fitness`` call of that evolution, and of the same
+  evolution on perfbench's 12-vertex colouring instance, analysis and
+  rejected programs included.
 
 Unlike timings, the counts do not move with the machine's load, so they
-show what a change to the interpreter saves per step.  Calls include
-generator resumptions.  Prints one JSON object.
+show what a change to the interpreter or to fitness evaluation saves.
+Calls include generator resumptions.  Prints one JSON object.
 
     python3 scripts/count_bytecodes.py
 """
@@ -26,27 +31,28 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from noodle import EvolutionConfig, SearchConfig, evolve, load_model, parse, solve
-from perfbench.workloads import SOLVE_SEARCH_SEED, TSP_INSTANCE_SEED, tsp_document
+from perfbench.workloads import COLOR_INSTANCE_SEED, SOLVE_SEARCH_SEED, TSP_INSTANCE_SEED, coloring_document, tsp_document
 
 INTERP = str(Path("lang") / "interp.py")
 
 
-def counted(run, calls=None):
-    """Bytecodes and calls per fuel step inside the first ``calls`` ``neighbors`` calls ``run()`` makes (all if None)."""
-    counts = {"neighbors": 0, "steps": 0, "call": 0, "opcode": 0}
-    inside = []  # the neighbors frame being counted
+def counted(run, name, source, calls=None):
+    """Calls, fuel steps, bytecodes and Python calls inside the first ``calls`` calls of the
+    function ``name`` defined in a file ending in ``source`` that ``run()`` makes (all if None)."""
+    counts = {"calls": 0, "steps": 0, "call": 0, "opcode": 0}
+    inside = []  # the frame being counted
 
     def trace(frame, event, arg):
         if inside:
             counts[event] = counts.get(event, 0) + 1
             if event == "return" and frame is inside[0]:
-                counts["steps"] += arg.steps_used
+                counts["steps"] += getattr(arg, "steps_used", 0)
                 inside.pop()
             frame.f_trace_opcodes = True
             return trace
-        if event == "call" and frame.f_code.co_name == "neighbors" and frame.f_code.co_filename.endswith(INTERP):
-            if calls is None or counts["neighbors"] < calls:
-                counts["neighbors"] += 1
+        if event == "call" and frame.f_code.co_name == name and frame.f_code.co_filename.endswith(source):
+            if calls is None or counts["calls"] < calls:
+                counts["calls"] += 1
                 inside.append(frame)
                 return trace(frame, event, arg)
         return None
@@ -56,9 +62,18 @@ def counted(run, calls=None):
         run()
     finally:
         sys.settrace(None)
+    return counts
+
+
+def per_step(counts):
     steps = counts["steps"]
-    return {"neighbors_calls": counts["neighbors"], "steps": steps,
+    return {"neighbors_calls": counts["calls"], "steps": steps,
             "bytecodes_per_step": counts["opcode"] / steps, "calls_per_step": counts["call"] / steps}
+
+
+def per_fitness_call(counts):
+    return {"fitness_calls": counts["calls"], "bytecodes": counts["opcode"],
+            "bytecodes_per_call": counts["opcode"] / counts["calls"]}
 
 
 def main():
@@ -67,10 +82,14 @@ def main():
     search = SearchConfig(restarts=1, max_steps=1, seed=SOLVE_SEARCH_SEED)
     solve(tsp20, two_opt, search)  # compiles two_opt, which the next call reuses
     tsp6 = load_model((ROOT / "fixtures" / "tsp6.json").read_text())
+    color12 = load_model(json.dumps(coloring_document(COLOR_INSTANCE_SEED)))
     evolution = EvolutionConfig(population_size=200, generations=5, seed=1)
+    fitness = ("evaluate_fitness", "evolution.py")
     print(json.dumps({
-        "solve-tsp20": counted(lambda: solve(tsp20, two_opt, search), calls=1),
-        "synth-tsp6": counted(lambda: evolve(tsp6, evolution)),
+        "solve-tsp20": per_step(counted(lambda: solve(tsp20, two_opt, search), "neighbors", INTERP, calls=1)),
+        "synth-tsp6": per_step(counted(lambda: evolve(tsp6, evolution), "neighbors", INTERP)),
+        "synth-tsp6 evaluate_fitness": per_fitness_call(counted(lambda: evolve(tsp6, evolution), *fitness)),
+        "synth-color12 evaluate_fitness": per_fitness_call(counted(lambda: evolve(color12, evolution), *fitness)),
     }, indent=2))
 
 

@@ -8,9 +8,10 @@ Fitness comparison is lexicographic: tier (VALID > BARREN >
 STATIC_REJECT), then kinds preserved, then productivity (the smallest
 per-sample count of feasible neighbors), then fewer atoms.  `evolve`
 scores each program once per run up to variable renaming, on the mapper's
-key.  Samples that are equal share one run, and so do samples a model
-automorphism maps onto each other when the program is label-free (see
-`noodle.lang.interp`): the run's figures stand for its whole class.
+key.  Samples that are equal share one run.  On a symmetric model
+(`Model.symmetric`) a label-free program (`Diagnostics.label_free`) maps
+one tour's completed neighborhood onto any other tour's, so the first
+completed run on a tour stands for every tour.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def evaluate_fitness(
     samples: list[Assignment],
     *,
     fuel: int = DEFAULT_EVAL_FUEL,
-    cap: int = 500,
+    cap: int = EvolutionConfig.inspection_cap,
     budget: int = DEFAULT_VAR_BUDGET,
 ) -> Fitness:
     """Score one candidate program against feasible sample assignments.
@@ -148,12 +149,13 @@ def evaluate_fitness(
     ``preserved`` counts the model's constraint kinds that `violations`
     names for no inspected neighbor, ``productivity`` the smallest
     per-sample count of feasible neighbors (those it names no kind for),
-    and ``size_penalty`` the optimized program's atom count.  A sample in
-    the class of one already run (see the module docstring) is not run.
+    and ``size_penalty`` the optimized program's atom count.  Samples
+    that share a run (see the module docstring) run once.
     """
     if not samples:
         raise ValueError("samples must be non-empty")
-    if not analyze(program, model, budget=budget).ok:
+    diagnostics = analyze(program, model, budget=budget)
+    if not diagnostics.ok:
         return Fitness(tier="STATIC_REJECT", size_penalty=atom_count(program))
 
     optimized = optimize(program)
@@ -162,12 +164,21 @@ def evaluate_fitness(
     broken: set[str] = set()
     productivity = None
     notes: list[str] = []
-    ran: list[tuple[Assignment, bool]] = []  # each sample run, and whether its run completed
+    ran: list[Assignment] = []
+    share_tours = diagnostics.label_free and model.symmetric
+    tour_ran = False  # whether a run on a tour completed
     for sample in samples:
-        if any(sample == other or complete and result.label_free and model.automorphic(other, sample) for other, complete in ran):
+        if sample in ran:
             continue
+        tour = False
+        if share_tours:
+            model.validate_assignment(sample)  # before satisfied, which would index past a short sample
+            tour = model.constraints[0].satisfied(sample)
+            if tour and tour_ran:
+                continue
         result = neighbors(optimized, model, sample, fuel=fuel, cap=cap)
-        ran.append((sample, not result.truncated))
+        ran.append(sample)
+        tour_ran = tour_ran or tour and not result.truncated
         if result.truncated and "TRUNCATED" not in notes:
             notes.append("TRUNCATED")
         if len(result) == 0:
@@ -192,8 +203,8 @@ def vary(
     parent_b: tuple[int, ...],
     rng: random.Random,
     *,
-    crossover_rate: float = 0.9,
-    mutation_rate: float = 0.05,
+    crossover_rate: float,
+    mutation_rate: float,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Single-point crossover followed by per-codon uniform mutation."""
     if len(parent_a) != len(parent_b):

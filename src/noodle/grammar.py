@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Sequence
 
+from noodle.lang.analyzer import DEFAULT_VAR_BUDGET
 from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, Var
 from noodle.model import Model
 
@@ -78,7 +79,7 @@ class MappingOutcome:
         return values[0]
 
 
-def derive_grammar(model: Model, budget: int = 6) -> Grammar:
+def derive_grammar(model: Model, budget: int = DEFAULT_VAR_BUDGET) -> Grammar:
     """Derive the operator grammar for a model.
 
     ``budget`` is the number of program variables offered (t0..t{budget-1}).

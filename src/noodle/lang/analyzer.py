@@ -5,6 +5,13 @@ not encode: tests and iterate headers bind program variables, effects
 never do, so an effect operand without a prior binding occurrence is an
 error.  Diagnostics are the result, never an exception.
 
+The same walk reports whether the program is label-free: no iterate body
+holds an enumeration (a constraint with an operand unbound on the walk's
+first step) or an iterate from an unbound start.  Committed choice keeps
+a body's first outcome, and sorted pairs and walk-scope order are label
+orders, so only a label-free program's completed neighborhoods move with
+a relabelling of the model that maps one start onto another.
+
 Error codes: UNBOUND_EFFECT, NO_EFFECT, UNKNOWN_CONSTRAINT,
 VAR_BUDGET_EXCEEDED.
 """
@@ -28,6 +35,7 @@ class Diagnostic:
 @dataclass(frozen=True)
 class Diagnostics:
     errors: tuple[Diagnostic, ...]
+    label_free: bool  # see the module docstring
 
     @property
     def ok(self) -> bool:
@@ -37,12 +45,16 @@ class Diagnostics:
 def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) -> Diagnostics:
     errors: list[Diagnostic] = []
     bound: set[int] = set()
+    label_free = True
 
-    def visit_conj(atoms) -> None:
+    def visit_conj(atoms, in_body: bool) -> None:
+        nonlocal label_free
         for atom in atoms:
             if isinstance(atom, ConstraintAtom):
                 if not model.constraints_by_name(atom.name):
                     errors.append(Diagnostic("UNKNOWN_CONSTRAINT", f"{atom.name!r} matches no model constraint or alias"))
+                if in_body and not {atom.a.index, atom.b.index} <= bound:
+                    label_free = False
                 bound.update((atom.a.index, atom.b.index))
             elif isinstance(atom, (Swap, Redirect)):
                 head = "swap_values" if isinstance(atom, Swap) else "redirect"
@@ -51,10 +63,12 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
                     names = ", ".join(str(v) for v in dict.fromkeys(unbound))
                     errors.append(Diagnostic("UNBOUND_EFFECT", f"{head} operand ({names}) has no prior binding occurrence"))
             else:  # Iterate; the header binds x, y, and start if free
+                if in_body and atom.start.index not in bound:
+                    label_free = False
                 bound.update((atom.x.index, atom.y.index, atom.start.index))
-                visit_conj(atom.body)
+                visit_conj(atom.body, True)
 
-    visit_conj(program.body)
+    visit_conj(program.body, False)
 
     if not any(isinstance(a, (Swap, Redirect)) for a in walk(program.body)):
         errors.append(Diagnostic("NO_EFFECT", "program contains no swap_values or redirect"))
@@ -64,7 +78,7 @@ def analyze(program: Program, model: Model, budget: int = DEFAULT_VAR_BUDGET) ->
         names = ", ".join(f"t{v}" for v in over_budget)
         errors.append(Diagnostic("VAR_BUDGET_EXCEEDED", f"{names} beyond budget of {budget} variables (t0..t{budget - 1})"))
 
-    return Diagnostics(errors=tuple(errors))
+    return Diagnostics(errors=tuple(errors), label_free=label_free)
 
 
 def _optimize_conj(atoms) -> tuple:

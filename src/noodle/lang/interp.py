@@ -75,12 +75,6 @@ cover them the walk runs again, so truncation falls on the same step as
 a first run's.  Unmarked iterates keep nothing: a cache that rarely hits
 costs more than it saves.
 
-Label-free programs: committed choice keeps a body's first outcome, so an
-iterate body holding an enumeration (sorted pairs) or an unbound-start
-iterate (walk-scope order) reads a label order that relabeling moves.  A
-program with neither in any body is label-free: a model automorphism
-mapping one start onto another maps its completed neighborhood too.
-
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
 interpreter terminates even with unlimited fuel.  Fuel merely bounds the
@@ -106,7 +100,6 @@ class NeighborSet:
     assignments: tuple[Assignment, ...]
     truncated: bool
     steps_used: int = 0
-    label_free: bool = False  # see "Label-free programs" in the module docstring
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -152,7 +145,6 @@ def _compile(program: Program, model: Model):
     remaining = 0
     by_name: dict[str, tuple] = {}  # name -> (relation, holds)
     compiled: dict[tuple, tuple] = {}  # (id(atoms), bound set) -> (conjunction, bound set after)
-    ordered, in_bodies = set(), set()  # generators whose outcome order is a label order; generators in iterate bodies
 
     def lookup(name: str):
         """The relation (state -> sorted pairs) and the point test a name denotes."""
@@ -299,7 +291,6 @@ def _compile(program: Program, model: Model):
                     env2[sb] = v
                     yield env2, state
 
-        ordered.add(bind)
         return bind, False
 
     def compile_swap(atom: Swap, bound: set, fresh: set):
@@ -369,7 +360,6 @@ def _compile(program: Program, model: Model):
         conj, bound_later = compile_conj(atom.body, frozenset(bound))
         conj_later = compile_conj(atom.body, bound_later)[0]
         first, later = first_outcome(conj), first_outcome(conj_later)
-        in_bodies.update(stage[0] for stage in conj[1] + conj_later[1])
         bound |= bound_later
         if walks is not None:
             written = [slots[v] for v in sorted(bound - entry | {xi, yi})]
@@ -433,14 +423,11 @@ def _compile(program: Program, model: Model):
                 return iter(walk(env, state, env[ss]))
             return (outcome for start_vid in walk_scope for outcome in walk(env, state, start_vid))
 
-        if not start_bound:
-            ordered.add(iterate)
         return iterate, False
 
     COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect, Iterate: compile_iterate}
 
     run = runner(compile_conj(program.body, frozenset())[0])
-    label_free = not ordered & in_bodies  # committed choice never keeps a first outcome in a label order
 
     def explore(start_values: Assignment, fuel: int, cap: int) -> NeighborSet:
         nonlocal remaining
@@ -459,6 +446,6 @@ def _compile(program: Program, model: Model):
             truncated = False
         except _Truncated:
             truncated = True
-        return NeighborSet(tuple(sorted(results)), truncated, fuel - remaining, label_free)
+        return NeighborSet(tuple(sorted(results)), truncated, fuel - remaining)
 
     return explore

@@ -11,7 +11,8 @@ enumerates; and `holds`, the point query on that relation, which
 answers the interpreter's tests.  `violations` names the kinds an
 assignment breaks, and `is_feasible` whether it breaks none.  Domains
 double as the pruning mechanism for degenerate moves (an effect writing
-an out-of-domain value kills its derivation branch).
+an out-of-domain value kills its derivation branch).  `Model.symmetric`
+says whether every tour of the model is a relabelling of every other.
 """
 
 from __future__ import annotations
@@ -163,39 +164,16 @@ class Model:
         """
         return {vid: i + 1 for i, vid in enumerate(self.walk_scope())}
 
-    def automorphic(self, a: Assignment, b: Assignment) -> bool:
-        """Whether a model automorphism maps assignment ``a`` onto ``b``.
-
-        Searched only where the structural circuit is the sole circuit: each rotation
-        aligning a's cycle with b's gives pi on the variables (the alignment on the
-        circuit scope) and tau on the values (pi in position coordinates on 1..n),
-        both the identity elsewhere.  Every domain must map onto its image variable's,
-        the other constraints onto themselves as a multiset, and a's image must be b.
-        """
-        sc = self.structural_constraint()
-        if sc is None or [c.kind for c in self.constraints].count("circuit") > 1 or not len(a) == len(b) == len(self.variables):
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether relabelling positions maps the model onto itself and any tour onto any other: the
+        structural circuit is the only constraint and covers every variable, and either every domain
+        holds all positions or each variable's domain holds all positions but its own."""
+        if self.structural is None or len(self.constraints) != 1 or len(self.constraints[0].scope) != len(self.variables):
             return False
-        if not (sc.satisfied(a) and sc.satisfied(b)):
-            return False
-        scope, n = sc.scope, len(sc.scope)
-        cycles = [[1], [1]]  # positions along a's and b's cycle, from position 1
-        for values, cycle in zip((a, b), cycles):
-            while len(cycle) < n:
-                cycle.append(values[scope[cycle[-1] - 1] - 1])
-        others = sorted((c.kind, c.alias or "", tuple(sorted(c.scope))) for c in self.constraints if c is not sc)
-        for k in range(n):
-            tau = {p: cycles[1][(i + k) % n] for i, p in enumerate(cycles[0])}
-            pi = {scope[p - 1]: scope[q - 1] for p, q in tau.items()}
-            moved = [pi.get(vid, vid) for vid in range(1, len(a) + 1)]  # moved[vid - 1] is pi(vid)
-            if any(b[moved[i] - 1] != tau.get(value, value) for i, value in enumerate(a)):
-                continue
-            # tau fixes values outside 1..n, and pi moves only circuit variables, whose domains lie inside
-            images = [self.variables[m - 1].domain for m in moved]
-            if any({tau[v] for v in tau if v in x.domain} != {v for v in tau if v in images[i]} for i, x in enumerate(self.variables)):
-                continue
-            if sorted((kind, alias, tuple(sorted(moved[v - 1] for v in s))) for kind, alias, s in others) == others:
-                return True
-        return False
+        domains = [self.variables[vid - 1].domain for vid in self.constraints[0].scope]
+        positions = frozenset(range(1, len(domains) + 1))
+        return all(d == positions for d in domains) or all(d == positions - {p} for p, d in enumerate(domains, 1))
 
     def validate_assignment(self, assignment: Assignment) -> None:
         if len(assignment) != len(self.variables):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -11,6 +12,25 @@ FIXTURES = ROOT / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def narrowed_tsp6(var, values):
+    """tsp6 with one variable's domain narrowed to ``values``."""
+    document = json.loads(fixture_text("tsp6.json"))
+    document["variables"][var]["domain"] = {"set": list(values)}
+    return load_model(document)
+
+
+# a circuit whose domains hold self-loops, beside two variables that an all_different
+# ties to the circuit's first variable; their values 1..3 are circuit positions too
+CIRCUIT_WITH_ALL_DIFFERENT = {
+    "name": "circuit5-and-pair",
+    "variables": [{"name": f"n{i}", "domain": {"lo": 1, "hi": 5}} for i in range(1, 6)]
+    + [{"name": name, "domain": {"lo": 1, "hi": 3}} for name in ("c1", "c2")],
+    "groups": {"next": [f"n{i}" for i in range(1, 6)]},
+    "constraints": [{"kind": "circuit", "scope": "next"}, {"kind": "all_different", "scope": ["c1", "c2", "n1"]}],
+    "structural": 0,
+}
 
 
 def nested_iterates(depth: int) -> str:

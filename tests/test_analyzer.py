@@ -1,12 +1,26 @@
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from noodle.grammar import derive_grammar, map_genome
 from noodle.lang.analyzer import analyze, optimize
 from noodle.lang.ast import atom_count, render
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
 
 from tests.conftest import fixture_text
+from tests.oracles import renamed
+
+# (text, label-free): no iterate body holds an enumerating constraint or an iterate from an unbound start
+LABEL_FREE_CASES = [
+    (fixture_text("two_opt.ndl"), True),
+    ("constraint(all_diff_next, t0, t1), swap_values(t0, t1)", True),
+    ("iterate(t0 - t1, t2, (swap_values(t0, t1)))", True),
+    ("iterate(t0 - t1, t2, (constraint(all_diff_next, t3, t4), swap_values(t3, t4)))", False),
+    ("constraint(all_diff_next, t0, t1), iterate(t2 - t3, t0, (constraint(all_diff_next, t2, t4), redirect(t2, t4)))", False),
+    ("iterate(t0 - t1, t2, (iterate(t3 - t4, t5, (swap_values(t3, t4)))))", False),
+    ("iterate(t0 - t1, t2, (iterate(t3 - t4, t0, (swap_values(t3, t4)))))", True),
+]
 
 
 def error_codes(diagnostics):
@@ -61,6 +75,31 @@ class TestAnalyze:
     def test_effects_do_not_bind(self, circuit3):
         program = parse("constraint(circuit, t0, t1), swap_values(t0, t1), swap_values(t2, t0)")
         assert "UNBOUND_EFFECT" in error_codes(analyze(program, circuit3))
+
+
+class TestLabelFree:
+    @pytest.mark.parametrize("text, label_free", LABEL_FREE_CASES)
+    def test_label_free(self, tsp6, text, label_free):
+        assert analyze(parse(text), tsp6).label_free is label_free
+
+    @staticmethod
+    def assert_invariant(model, genome):
+        # fitness runs the optimized program, and evolve's memo is keyed on the renamed derivation
+        outcome = map_genome(derive_grammar(model), genome)
+        assume(outcome.ok)
+        label_free = analyze(outcome.program, model).label_free
+        assert analyze(optimize(outcome.program), model).label_free is label_free
+        assert analyze(renamed(outcome.program), model).label_free is label_free
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome=st.lists(st.integers(0, 255), min_size=80, max_size=80))
+    def test_optimize_and_renaming_keep_it_on_tsp6(self, genome, tsp6):
+        self.assert_invariant(tsp6, genome)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome=st.lists(st.integers(0, 255), min_size=80, max_size=80))
+    def test_optimize_and_renaming_keep_it_on_the_coloring_triangle(self, genome, triangle):
+        self.assert_invariant(triangle, genome)
 
 
 class TestOptimize:

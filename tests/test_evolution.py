@@ -14,9 +14,10 @@ from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
 from noodle.lang.ast import render, variables_used
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
-from noodle.model import InfeasibleError, is_feasible, load_assignment, load_model, seed_assignment
+from noodle.model import InfeasibleError, is_feasible, load_model, seed_assignment
 
-from tests.conftest import fixture_text
+from tests.conftest import CIRCUIT_WITH_ALL_DIFFERENT, fixture_text, narrowed_tsp6
+from tests.test_analyzer import LABEL_FREE_CASES
 from tests.oracles import reference_automorphic, reference_evaluate_fitness, relabelled, renamed
 
 
@@ -142,7 +143,7 @@ class TestVary:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            vary((1, 2), (1, 2, 3), random.Random(0))
+            vary((1, 2), (1, 2, 3), random.Random(0), crossover_rate=0.9, mutation_rate=0.05)
 
 
 class TestEvolve:
@@ -316,118 +317,123 @@ class TestDerivationKey:
         assert set(scored) == {render(renamed(o.program)) for o in mapped if o.ok}
 
 
-def narrowed_tsp6(var, values):
-    """tsp6 with one variable's domain narrowed to ``values``."""
-    document = json.loads(fixture_text("tsp6.json"))
-    document["variables"][var]["domain"] = {"set": list(values)}
-    return load_model(document)
+@pytest.fixture
+def runs(monkeypatch):
+    """The samples that evaluate_fitness runs a neighborhood on, in order."""
+    starts = []
+
+    def counted(program, model, start, **kwargs):
+        starts.append(start)
+        return neighbors(program, model, start, **kwargs)
+
+    monkeypatch.setattr(noodle.evolution, "neighbors", counted)
+    return starts
 
 
-def symmetric_pairs(model, samples):
-    return {(i, j) for i, j in itertools.permutations(range(len(samples)), 2) if model.automorphic(samples[i], samples[j])}
-
-
-# a circuit whose domains hold self-loops, beside two variables that an all_different
-# ties to the circuit's first variable; their values 1..3 are circuit positions too
-CIRCUIT_WITH_ALL_DIFFERENT = {
-    "name": "circuit5-and-pair",
-    "variables": [{"name": f"n{i}", "domain": {"lo": 1, "hi": 5}} for i in range(1, 6)]
-    + [{"name": name, "domain": {"lo": 1, "hi": 3}} for name in ("c1", "c2")],
-    "groups": {"next": [f"n{i}" for i in range(1, 6)]},
-    "constraints": [{"kind": "circuit", "scope": "next"}, {"kind": "all_different", "scope": ["c1", "c2", "n1"]}],
-    "structural": 0,
-}
+def assert_scores_as_every_sample_run(program, model, samples):
+    assert asdict(evaluate_fitness(program, model, samples)) == asdict(reference_evaluate_fitness(program, model, samples))
 
 
 class TestSampleClasses:
-    """Samples share a run when equal, or when an automorphism maps one onto the other."""
+    """Equal samples share a run.  On a symmetric model, a label-free program's first
+    completed run on a tour stands for every tour; on any other model every distinct
+    sample runs, even where a relabelling would map some samples onto each other."""
 
     @pytest.mark.parametrize("seed", json.loads(fixture_text("rediscovery_seeds.json"))["seeds"])
-    def test_pinned_tsp6_samples_form_one_class(self, tsp6, seed):
+    def test_pinned_tsp6_samples_form_one_class(self, tsp6, two_opt, seed, runs):
         samples = samples_for(tsp6, seed=seed)
-        assert all(tsp6.automorphic(samples[0], sample) for sample in samples)
+        assert tsp6.symmetric
+        assert all(reference_automorphic(tsp6, samples[0], sample) for sample in samples)
+        assert_scores_as_every_sample_run(two_opt, tsp6, samples)
+        assert runs == samples[:1]
 
-    def test_narrowed_domain_splits_the_class(self, tsp6):
-        # n1 loses value 5, so an automorphism fixes positions 1 and 5: two tours
-        # stay symmetric only when 5 is as far from 1 along both
+    def test_narrowed_domain_splits_the_class(self, tsp6, two_opt, runs):
+        # n1 loses value 5, so a relabelling must fix positions 1 and 5: two tours stay
+        # related only when 5 is as far from 1 along both.  The model is not symmetric,
+        # so those partial classes share nothing and every distinct sample runs.
         samples = samples_for(tsp6)
-        assert symmetric_pairs(tsp6, samples) == set(itertools.permutations(range(5), 2))
         model = narrowed_tsp6(0, (2, 3, 4, 6))
-        pairs = symmetric_pairs(model, samples)
+        assert not model.symmetric
+        pairs = {(i, j) for i, j in itertools.permutations(range(5), 2) if reference_automorphic(model, samples[i], samples[j])}
         assert pairs == {(0, 2), (2, 0), (0, 4), (4, 0), (2, 4), (4, 2), (1, 3), (3, 1)}
-        assert pairs == {(i, j) for i, j in itertools.permutations(range(5), 2) if reference_automorphic(model, samples[i], samples[j])}
+        assert_scores_as_every_sample_run(two_opt, model, samples)
+        assert runs == samples
 
     def test_narrowed_domain_with_no_classes(self, tsp6):
         samples = samples_for(tsp6, seed=10)
-        assert len(set(samples)) == 5
-        assert symmetric_pairs(narrowed_tsp6(5, (2, 3, 5)), samples) == set()
+        model = narrowed_tsp6(5, (2, 3, 5))
+        assert len(set(samples)) == 5 and not model.symmetric
+        assert not any(reference_automorphic(model, a, b) for a, b in itertools.permutations(samples, 2))
 
     @pytest.mark.parametrize("var", range(6))
-    def test_automorphic_matches_every_position_permutation(self, tsp6, var):
+    def test_automorphic_matches_every_position_permutation(self, tsp6, two_opt, var, runs):
+        # narrowing a domain to the values the samples use breaks the symmetry,
+        # so only equal samples share a run
         samples = samples_for(tsp6, seed=var + 1)
-        model = narrowed_tsp6(var, sorted({sample[var] for sample in samples}))  # the values the samples use
-        for a, b in itertools.product(samples, repeat=2):
-            assert tsp6.automorphic(a, b) == reference_automorphic(tsp6, a, b)
-            assert model.automorphic(a, b) == reference_automorphic(model, a, b)
+        model = narrowed_tsp6(var, sorted({sample[var] for sample in samples}))
+        assert not model.symmetric
+        assert_scores_as_every_sample_run(two_opt, model, samples)
+        assert runs == list(dict.fromkeys(samples))
 
-    def test_a_large_domain_outside_the_circuit(self, tsp6):
-        # tau fixes every value beyond the circuit's positions, so a million-value
-        # domain is checked on those positions alone
+    def test_a_large_domain_outside_the_circuit(self, tsp6, two_opt, runs):
+        # the circuit no longer covers every variable, which symmetric sees before it reads a domain
         document = json.loads(fixture_text("tsp6.json"))
         document["variables"].append({"name": "big", "domain": {"lo": 1, "hi": 1_000_000}})
         model = load_model(document)
+        assert not model.symmetric
         tour = samples_for(tsp6)[0]
-        positions = (3, 1, 2, 6, 4, 5)
-        for value in (2, 7, 999_999):
-            a = (*tour, value)
-            b = relabelled(model, a, positions)
-            assert b[6] == (positions[value - 1] if value <= 6 else value)
-            assert model.automorphic(a, b)
-        assert not model.automorphic((*tour, 7), (*b[:6], 8))  # tau fixes 7
+        samples = [(*tour, 2), relabelled(model, (*tour, 2), (3, 1, 2, 6, 4, 5)), (*tour, 999_999)]
+        assert_scores_as_every_sample_run(two_opt, model, samples)
+        assert runs == samples
 
     def test_synth_color12_samples_have_no_classes(self):
         from tests.test_seeded_output import perfbench_workloads
 
         workloads = perfbench_workloads()
         model = load_model(workloads.coloring_document(workloads.COLOR_INSTANCE_SEED))
+        assert not model.symmetric
         for seed in workloads.COLOR_SYNTH_SEEDS:
             samples = samples_for(model, seed=seed)
             assert len(set(samples)) == len(samples)
-            assert symmetric_pairs(model, samples) == set()
 
-    def test_label_free_program_runs_once_per_class(self, tsp6, two_opt, monkeypatch):
-        runs = []
-
-        def counted(*args, **kwargs):
-            result = neighbors(*args, **kwargs)
-            runs.append(result.label_free)
-            return result
-
-        monkeypatch.setattr(noodle.evolution, "neighbors", counted)
+    def test_label_free_program_runs_once_per_class(self, tsp6, two_opt, runs):
         samples = samples_for(tsp6, seed=1)  # its samples 0 and 1 are equal
         assert samples[0] == samples[1] and len(set(samples)) == 4
-        assert asdict(evaluate_fitness(two_opt, tsp6, samples)) == asdict(reference_evaluate_fitness(two_opt, tsp6, samples))
-        assert runs == [True]
+        assert_scores_as_every_sample_run(two_opt, tsp6, samples)
+        assert runs == samples[:1]
         runs.clear()
         enumerating_body = parse("iterate(t0 - t1, t2, (constraint(all_diff_next, t1, t4), swap_values(t0, t4)))")
         assert evaluate_fitness(enumerating_body, tsp6, samples).tier == "VALID"
-        assert runs == [False] * 4  # one run per distinct sample
+        assert runs == list(dict.fromkeys(samples))  # one run per distinct sample
 
-    @pytest.mark.parametrize(
-        "text, label_free",
-        [
-            (fixture_text("two_opt.ndl"), True),
-            ("constraint(all_diff_next, t0, t1), swap_values(t0, t1)", True),
-            ("iterate(t0 - t1, t2, (swap_values(t0, t1)))", True),
-            ("iterate(t0 - t1, t2, (constraint(all_diff_next, t3, t4), swap_values(t3, t4)))", False),
-            ("constraint(all_diff_next, t0, t1), iterate(t2 - t3, t0, (constraint(all_diff_next, t2, t4), redirect(t2, t4)))", False),
-            ("iterate(t0 - t1, t2, (iterate(t3 - t4, t5, (swap_values(t3, t4)))))", False),
-            ("iterate(t0 - t1, t2, (iterate(t3 - t4, t0, (swap_values(t3, t4)))))", True),
-        ],
-    )
-    def test_label_free(self, tsp6, text, label_free):
-        start = load_assignment(fixture_text("tour6.json"))
-        assert neighbors(parse(text), tsp6, start).label_free is label_free
+    @pytest.mark.parametrize("text, label_free", LABEL_FREE_CASES)
+    def test_label_free(self, tsp6_full, text, label_free, runs):
+        program = parse(text)
+        samples = samples_for(tsp6_full)
+        assert len(set(samples)) == 5
+        fitness = evaluate_fitness(program, tsp6_full, samples)
+        assert asdict(fitness) == asdict(reference_evaluate_fitness(program, tsp6_full, samples))
+        assert len(runs) == (1 if label_free or fitness.tier == "BARREN" else 5)
+
+    def test_a_non_tour_sample_runs_after_a_tour(self, tsp6, two_opt, runs):
+        samples = [samples_for(tsp6)[0], (2, 3, 1, 5, 6, 4)]  # the second is two 3-cycles
+        assert_scores_as_every_sample_run(two_opt, tsp6, samples)
+        assert runs == samples
+
+    def test_a_truncated_run_stands_for_no_other_tour(self, tsp6, two_opt, runs):
+        # at this fuel the runs find 5, 4, 6, 5 and 6 neighbors
+        samples = samples_for(tsp6)
+        fitness = evaluate_fitness(two_opt, tsp6, samples, fuel=200)
+        assert fitness.notes == ("TRUNCATED",)
+        assert asdict(fitness) == asdict(reference_evaluate_fitness(two_opt, tsp6, samples, fuel=200))
+        assert runs == samples
+
+    def test_a_short_sample_after_a_run_is_infeasible(self, tsp6, two_opt):
+        # its circuit walk would index past its end
+        samples = [samples_for(tsp6)[0], (2, 3, 4, 5, 6)]
+        for evaluate in (evaluate_fitness, reference_evaluate_fitness):
+            with pytest.raises(InfeasibleError, match="5 values"):
+                evaluate(two_opt, tsp6, samples)
 
 
 fuels = st.sampled_from([0, 1, 5, 30, 200, 2_000, 20_000])
@@ -529,7 +535,7 @@ class TestFitnessAgainstEverySampleRun:
         # the first scope variable, so symmetric samples score differently
         program = parse(text)
         samples = samples_for(tsp6)
-        assert not neighbors(optimize(program), tsp6, samples[0]).label_free
+        assert not analyze(program, tsp6).label_free
         expected = reference_evaluate_fitness(program, tsp6, samples)
         assert asdict(expected) != asdict(reference_evaluate_fitness(program, tsp6, samples[:1]))
         assert asdict(evaluate_fitness(program, tsp6, samples)) == asdict(expected)

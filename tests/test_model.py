@@ -23,10 +23,10 @@ from noodle.evolution import EvolutionConfig, evolve
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
 from noodle.search import SearchConfig, solve
-from tests.conftest import ROOT, fixture_text, overlong_digits
+from tests.conftest import CIRCUIT_WITH_ALL_DIFFERENT, ROOT, fixture_text, narrowed_tsp6, overlong_digits
 
 CLI_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-from tests.oracles import greedy_coloring, successor_cycles
+from tests.oracles import greedy_coloring, reference_automorphic, successor_cycles
 
 
 def circuit_model_doc(n: int) -> dict:
@@ -329,6 +329,73 @@ class TestViolations:
         assert violations(model, (2, 1, 4, 3)) == {"circuit"}
         assert violations(model, (1, 1, 2, 3)) == {"circuit", "all_different", "not_equal"}
         assert violations(model, (2, 3, 4, 1)) == set()
+
+
+def tours(model):
+    """Every assignment of the model that satisfies its structural circuit."""
+    circuit = model.structural_constraint()
+    for values in itertools.product(*(sorted(v.domain) for v in model.variables)):
+        if circuit.satisfied(values):
+            yield values
+
+
+def tsp6_with(key, entry):
+    """tsp6 with one more entry in its document's ``key`` list."""
+    document = json.loads(fixture_text("tsp6.json"))
+    document[key].append(entry)
+    return load_model(document)
+
+
+class TestSymmetric:
+    """Model.symmetric against reference_automorphic, which tries every renumbering of the circuit positions."""
+
+    @pytest.mark.parametrize("fixture", ["tsp4", "circuit3"])
+    def test_every_tour_pair_is_related(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        assert model.symmetric
+        every = list(tours(model))
+        assert all(reference_automorphic(model, a, b) for a, b in itertools.product(every, repeat=2))
+
+    @pytest.mark.parametrize("fixture", ["tsp6", "tsp6_full"])
+    def test_sampled_tour_pairs_are_related(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        assert model.symmetric
+        sampled = [seed_assignment(model, seed) for seed in range(8)]
+        assert all(reference_automorphic(model, a, b) for a, b in itertools.combinations(sampled, 2))
+
+    def test_solve_tsp20_instance(self):
+        from tests.test_seeded_output import perfbench_workloads
+
+        workloads = perfbench_workloads()
+        assert load_model(workloads.tsp_document(workloads.TSP_INSTANCE_SEED)).symmetric
+
+    @pytest.mark.parametrize(
+        "model, a, b",
+        [
+            # n1 without 5: a relabelling must fix positions 1 and 5
+            (narrowed_tsp6(0, (2, 3, 4, 6)), (2, 3, 4, 5, 6, 1), (2, 5, 4, 6, 3, 1)),
+            # a seventh variable outside the circuit: relabelling fixes the values 7 and 8
+            (tsp6_with("variables", {"name": "x", "domain": {"lo": 1, "hi": 8}}), (2, 3, 4, 5, 6, 1, 7), (2, 3, 4, 5, 6, 1, 8)),
+            # the all_different ties n1 to c1 and c2, whose values must stay among 1..3
+            (load_model(CIRCUIT_WITH_ALL_DIFFERENT), (2, 3, 4, 5, 1, 1, 3), (2, 3, 4, 5, 1, 3, 1)),
+            # a not_equal on n1 and n2, which a tour always satisfies: positions 1 and 2 must stay
+            # a pair, adjacent along the first tour and not along the second
+            (tsp6_with("constraints", {"kind": "not_equal", "scope": ["n1", "n2"]}), (2, 3, 4, 5, 6, 1), (3, 4, 2, 5, 6, 1)),
+        ],
+        ids=["narrowed-domain", "extra-variable", "circuit-with-all-different", "extra-constraint"],
+    )
+    def test_asymmetric_models(self, model, a, b):
+        assert not model.symmetric
+        assert is_feasible(model, a) and is_feasible(model, b)
+        model.validate_assignment(a)
+        model.validate_assignment(b)
+        assert not reference_automorphic(model, a, b)
+
+    def test_no_structural_circuit(self, triangle):
+        assert not triangle.symmetric
+        document = json.loads(fixture_text("tsp6.json"))
+        del document["structural"], document["objective"]
+        assert not load_model(document).symmetric
 
 
 class TestRelationPairs:
