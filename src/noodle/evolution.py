@@ -12,6 +12,11 @@ key.  Samples that are equal share one run.  On a symmetric model
 (`Model.symmetric`) a label-free program (`Diagnostics.label_free`) maps
 one tour's completed neighborhood onto any other tour's, so the first
 completed run on a tour stands for every tour.
+
+`evolve` scores with ``notes=False``: a sample's run stops once no later
+neighbor can change the score (see `evaluate_fitness`), which leaves the
+notes unknown.  It then re-scores each distinct generation-best program
+once in full, so every reported fitness carries exact notes.
 """
 
 from __future__ import annotations
@@ -140,6 +145,7 @@ def evaluate_fitness(
     fuel: int = DEFAULT_EVAL_FUEL,
     cap: int = EvolutionConfig.inspection_cap,
     budget: int = DEFAULT_VAR_BUDGET,
+    notes: bool = True,
 ) -> Fitness:
     """Score one candidate program against feasible sample assignments.
 
@@ -149,8 +155,17 @@ def evaluate_fitness(
     ``preserved`` counts the model's constraint kinds that `violations`
     names for no inspected neighbor, ``productivity`` the smallest
     per-sample count of feasible neighbors (those it names no kind for),
-    and ``size_penalty`` the optimized program's atom count.  Samples
-    that share a run (see the module docstring) run once.
+    capped at ``cap``, and ``size_penalty`` the optimized program's atom
+    count.  Samples that share a run (see the module docstring) run once.
+
+    Neighbors are scored as the interpreter finds them.  With
+    ``notes=False`` a run stops once it is settled: it has found a
+    neighbor, every kind of the model is broken, and its feasible count
+    has reached ``cap`` and the lowest feasible count of the samples
+    scored before it.  No later neighbor can then move the score, but the
+    stopped run cannot tell whether its full run would have truncated, so
+    the notes are left empty.  The default runs every sample in full and
+    notes ``TRUNCATED`` exactly.
     """
     if not samples:
         raise ValueError("samples must be non-empty")
@@ -163,10 +178,25 @@ def evaluate_fitness(
     kinds = {c.kind for c in model.constraints}
     broken: set[str] = set()
     productivity = None
-    notes: list[str] = []
+    noted: tuple[str, ...] = ()  # ("TRUNCATED",) once a run truncates; stays empty with notes=False
     ran: list[Assignment] = []
     share_tours = diagnostics.label_free and model.symmetric
     tour_ran = False  # whether a run on a tour completed
+    stop, every = not notes, len(kinds)
+    feasible = bound = 0
+    stopped = False
+
+    def settled(neighbor: Assignment) -> bool:
+        """Score one neighbor of the current run; true once the run is settled."""
+        nonlocal feasible, stopped
+        violated = violations(model, neighbor)
+        if violated:
+            broken.update(violated)
+        else:
+            feasible += 1
+        stopped = stop and feasible >= bound and len(broken) == every
+        return stopped
+
     for sample in samples:
         if sample in ran:
             continue
@@ -176,25 +206,22 @@ def evaluate_fitness(
             tour = model.constraints[0].satisfied(sample)
             if tour and tour_ran:
                 continue
-        result = neighbors(optimized, model, sample, fuel=fuel, cap=cap)
+        feasible, stopped = 0, False
+        bound = cap if productivity is None else min(cap, productivity)
+        result = neighbors(optimized, model, sample, fuel=fuel, cap=cap, until=settled)
         ran.append(sample)
-        tour_ran = tour_ran or tour and not result.truncated
-        if result.truncated and "TRUNCATED" not in notes:
-            notes.append("TRUNCATED")
+        tour_ran = tour_ran or tour and not result.truncated and not stopped
+        if notes and result.truncated:
+            noted = ("TRUNCATED",)
         if len(result) == 0:
-            return Fitness(tier="BARREN", size_penalty=size, notes=tuple(notes))
-        feasible = 0
-        for nb in result.assignments:
-            violated = violations(model, nb)
-            feasible += not violated
-            broken |= violated
+            return Fitness(tier="BARREN", size_penalty=size, notes=noted)
         productivity = feasible if productivity is None else min(productivity, feasible)
     return Fitness(
         tier="VALID",
         preserved=len(kinds - broken),
         productivity=min(productivity, cap),
         size_penalty=size,
-        notes=tuple(notes),
+        notes=noted,
     )
 
 
@@ -246,6 +273,13 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
     # one fitness per mapper key over the run (renaming moves neither analysis nor
     # fitness); optimized text is no key, as dropping a self-swap can leave no effect
     memo: dict[tuple[int, ...], Fitness] = {}
+    exact: set[tuple[int, ...]] = set()  # keys whose memo entry carries exact notes
+
+    def score(program: Program, notes: bool) -> Fitness:
+        return evaluate_fitness(
+            program, model, samples, fuel=config.fuel, cap=config.inspection_cap, budget=config.var_budget, notes=notes
+        )
+
     invalid_mapping = Fitness(tier="STATIC_REJECT")
     best_genome = population[0]
     best_fitness = None
@@ -265,20 +299,18 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
                 continue
             fitness = memo.get(outcome.key)
             if fitness is None:
-                fitness = memo[outcome.key] = evaluate_fitness(
-                    outcome.program,
-                    model,
-                    samples,
-                    fuel=config.fuel,
-                    cap=config.inspection_cap,
-                    budget=config.var_budget,
-                )
+                fitness = memo[outcome.key] = score(outcome.program, notes=False)
             fitnesses.append(fitness)
 
         keys = [f.key() for f in fitnesses]
         order = sorted(range(len(population)), key=keys.__getitem__, reverse=True)
         gen_best = order[0]
         gen_outcome = outcomes[gen_best]
+        if gen_outcome.ok:
+            if gen_outcome.key not in exact:  # the same score, now with exact notes
+                exact.add(gen_outcome.key)
+                memo[gen_outcome.key] = score(gen_outcome.program, notes=True)
+            fitnesses[gen_best] = memo[gen_outcome.key]
         gen_program = render(optimize(gen_outcome.program)) if gen_outcome.ok else ""
         if best_fitness is None or fitnesses[gen_best] > best_fitness:
             best_fitness = fitnesses[gen_best]

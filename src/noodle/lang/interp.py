@@ -56,7 +56,8 @@ steps so that a conjunction's length never deepens the Python stack far;
 only iterate nesting does, and the parser bounds that.  The loop hands
 each outcome to a callback: ``explore`` collects them all, and an iterate
 body's committed choice stops at the first, so a walk step is a plain
-call, not a generator.
+call, not a generator.  ``explore`` offers each new neighbor to the
+caller's ``until``, if any, and ends the whole run when it returns true.
 
 Walk reuse: a walk depends only on its entry state, its start and the
 entry values of the variables its body reads.  An iterate is marked at
@@ -109,6 +110,10 @@ class _Truncated(Exception):
     pass
 
 
+class _Stopped(Exception):
+    pass
+
+
 # (program, model, explore) of the last compile, matched by identity.
 # Its runs share one fuel counter: noodle runs single threaded.
 _last: tuple | None = None
@@ -120,22 +125,30 @@ def neighbors(
     start: Assignment,
     fuel: int = DEFAULT_FUEL,
     cap: int = DEFAULT_CAP,
+    until=None,
 ) -> NeighborSet:
     """Materialize the neighborhood of ``start`` under ``program``.
 
     Callers are expected to have run the analyzer first; programs that
     slipped past it (unbound effect operands at run time) simply fail
     their branches.  ``start`` is never mutated.
+
+    ``until(assignment)``, when given, is called once for each new
+    distinct non-start neighbor, in discovery order, after the cap check
+    and after the neighbor is kept.  When it returns true exploration
+    ends there: the result holds the neighbors found so far, is not
+    truncated, and counts the steps spent.  ``until`` must not call
+    ``neighbors``: the compiled runs share one fuel counter.
     """
     global _last
     model.validate_assignment(start)
     if _last is None or _last[0] is not program or _last[1] is not model:
         _last = program, model, _compile(program, model)
-    return _last[2](tuple(start), fuel, cap)
+    return _last[2](tuple(start), fuel, cap, until)
 
 
 def _compile(program: Program, model: Model):
-    """``explore(start, fuel, cap) -> NeighborSet`` for ``program`` on ``model``."""
+    """``explore(start, fuel, cap, until) -> NeighborSet`` for ``program`` on ``model``."""
     domains = [v.domain for v in model.variables]
     walk_pos = model.walk_positions()
     walk_scope = model.walk_scope()
@@ -429,7 +442,7 @@ def _compile(program: Program, model: Model):
 
     run = runner(compile_conj(program.body, frozenset())[0])
 
-    def explore(start_values: Assignment, fuel: int, cap: int) -> NeighborSet:
+    def explore(start_values: Assignment, fuel: int, cap: int, until) -> NeighborSet:
         nonlocal remaining
         remaining = fuel
         results: set[tuple[int, ...]] = set()
@@ -440,12 +453,16 @@ def _compile(program: Program, model: Model):
                 if len(results) >= cap:
                     raise _Truncated
                 results.add(candidate)
+                if until is not None and until(candidate):
+                    raise _Stopped
 
+        truncated = False
         try:
             run([None] * len(slots), list(start_values), keep)
-            truncated = False
         except _Truncated:
             truncated = True
+        except _Stopped:
+            pass
         return NeighborSet(tuple(sorted(results)), truncated, fuel - remaining)
 
     return explore

@@ -291,6 +291,13 @@ class TestSynth:
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
         assert proc.stderr.startswith("error: cannot write /dev/full: ")
 
+    @pytest.mark.parametrize("limit, code", [(("--cap", "2"), 1), (("--fuel", "100"), 0)])
+    def test_strict_exits_one_when_a_generation_best_truncates(self, limit, code):
+        # at cap 2 every generation's best hits the cap; at fuel 100 no generation's best truncates
+        proc = run_cli("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--pop", "50", "--gens", "5", *limit, "--strict")
+        assert proc.returncode == code, proc.stderr
+        json.loads(proc.stdout)
+
     def test_thread_env_validated(self):
         proc = run_cli(
             "synth",

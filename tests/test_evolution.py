@@ -241,15 +241,17 @@ class TestRenamed:
         assert render(renamed(raw)) != render(renamed(optimize(raw)))
 
     def test_evolve_scores_each_program_once_up_to_renaming(self, tsp6, monkeypatch):
-        keys = []
+        # once without notes; a generation's best once more, with them
+        keys = {False: [], True: []}
 
-        def counted(program, *args, **kwargs):
-            keys.append(render(renamed(program)))
-            return evaluate_fitness(program, *args, **kwargs)
+        def counted(program, *args, notes=True, **kwargs):
+            keys[notes].append(render(renamed(program)))
+            return evaluate_fitness(program, *args, notes=notes, **kwargs)
 
         monkeypatch.setattr(noodle.evolution, "evaluate_fitness", counted)
         evolve(tsp6, EvolutionConfig(population_size=40, generations=6, seed=9))
-        assert keys and len(keys) == len(set(keys))
+        assert keys[False] and len(keys[False]) == len(set(keys[False]))
+        assert keys[True] and len(keys[True]) == len(set(keys[True])) and set(keys[True]) <= set(keys[False])
 
 
 # short genomes and few codon values make distinct genomes map to one program often
@@ -539,3 +541,146 @@ class TestFitnessAgainstEverySampleRun:
         expected = reference_evaluate_fitness(program, tsp6, samples)
         assert asdict(expected) != asdict(reference_evaluate_fitness(program, tsp6, samples[:1]))
         assert asdict(evaluate_fitness(program, tsp6, samples)) == asdict(expected)
+
+
+# no constraint: kinds is empty, so every kind is broken before any neighbor
+UNCONSTRAINED = {"name": "unconstrained4", "variables": [{"name": f"v{i}", "domain": {"lo": 1, "hi": 3}} for i in range(1, 5)]}
+
+# fuel 20,000 and cap 20 on perfbench's colour12 instance with the samples of seed 1:
+# a later sample's run stops before the step at which its full run truncates
+SETTLED_BEFORE_TRUNCATION = (
+    "iterate(t4 - t2, t2, (constraint(not_equal, t0, t5))), swap_values(t0, t2), "
+    "iterate(t2 - t5, t0, (constraint(not_equal, t2, t4), swap_values(t5, t2))), swap_values(t4, t5), "
+    "iterate(t0 - t1, t2, (constraint(not_equal, t2, t3))), swap_values(t1, t0), swap_values(t3, t5)"
+)
+
+
+class TestSettledFitnessAgainstEverySampleRun:
+    """A run stopped once settled scores as running every sample in full does; its notes
+    are empty, and the default call, which never stops, keeps exact notes."""
+
+    def assert_matches_reference(self, model, data, plan, fuel, cap):
+        program = data.draw(st.sampled_from(TestFitnessAgainstEverySampleRun.evolved_programs(model)))
+        samples = planned_samples(model, plan)
+        assume(samples)
+        expected = reference_evaluate_fitness(program, model, samples, fuel=fuel, cap=cap)
+        settled = evaluate_fitness(program, model, samples, fuel=fuel, cap=cap, notes=False)
+        assert settled.to_json() == expected.to_json()
+        assert settled.notes == ()
+        assert asdict(evaluate_fitness(program, model, samples, fuel=fuel, cap=cap)) == asdict(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_tsp6(self, tsp6, data, plan, fuel, cap):
+        self.assert_matches_reference(tsp6, data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_tsp6_with_an_asymmetric_domain(self, data, plan, fuel, cap):
+        self.assert_matches_reference(narrowed_tsp6(0, (2, 3, 4, 6)), data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_circuit_with_an_all_different(self, data, plan, fuel, cap):
+        self.assert_matches_reference(load_model(CIRCUIT_WITH_ALL_DIFFERENT), data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_coloring_triangle(self, triangle, data, plan, fuel, cap):
+        self.assert_matches_reference(triangle, data, plan, fuel, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
+    def test_no_constraints(self, data, plan, fuel, cap):
+        self.assert_matches_reference(load_model(UNCONSTRAINED), data, plan, fuel, cap)
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            # the first run finds an infeasible neighbor, then feasible ones: it is settled
+            # only at the cap, not at its first neighbor
+            (fixture_text("tsp6.json"), "iterate(t1 - t5, t4, (redirect(t1, t5), iterate(t2 - t3, t3, (swap_values(t2, t1)))))"),
+            # later runs break all_different only after a neighbor that breaks the circuit
+            (CIRCUIT_WITH_ALL_DIFFERENT, "iterate(t1 - t5, t4, (constraint(circuit, t0, t4), swap_values(t5, t0)))"),
+        ],
+        ids=["bound-is-the-cap-first", "every-kind-broken"],
+    )
+    def test_settled_only_when_nothing_can_move_the_score(self, model, text):
+        model, program = load_model(model), parse(text)
+        for seed in range(3):
+            samples = samples_for(model, seed=seed)
+            expected = reference_evaluate_fitness(program, model, samples)
+            assert evaluate_fitness(program, model, samples, notes=False).to_json() == expected.to_json()
+
+    def test_a_stopped_run_drops_a_truncation(self, monkeypatch):
+        from tests.test_seeded_output import perfbench_workloads
+
+        workloads = perfbench_workloads()
+        model = load_model(workloads.coloring_document(1))
+        samples = samples_for(model, seed=1)
+        program = parse(SETTLED_BEFORE_TRUNCATION)
+        expected = reference_evaluate_fitness(program, model, samples, fuel=20_000, cap=20)
+        assert expected.notes == ("TRUNCATED",)
+        runs = {True: [], False: []}
+
+        def recorded(program, model, start, **kwargs):
+            result = neighbors(program, model, start, **kwargs)
+            runs[notes].append((start, result.truncated, result.steps_used))
+            return result
+
+        monkeypatch.setattr(noodle.evolution, "neighbors", recorded)
+        for notes in (True, False):
+            got = evaluate_fitness(program, model, samples, fuel=20_000, cap=20, notes=notes)
+            assert got.to_json() == expected.to_json()
+            assert got.notes == (expected.notes if notes else ())
+        # every sample still runs; the stopped runs end before the step at which one truncates
+        assert [run[0] for run in runs[False]] == [run[0] for run in runs[True]] == samples
+        assert any(run[1] for run in runs[True]) and not any(run[1] for run in runs[False])
+        assert sum(run[2] for run in runs[False]) < sum(run[2] for run in runs[True])
+
+
+class TestGenerationBestNotes:
+    """evolve scores without notes, then re-scores each generation's best in full: every
+    generation reports the fitness, notes included, of running its best program on every sample."""
+
+    @staticmethod
+    def model(name):
+        if name == "colour12":
+            from tests.test_seeded_output import perfbench_workloads
+
+            workloads = perfbench_workloads()
+            return load_model(workloads.coloring_document(workloads.COLOR_INSTANCE_SEED))
+        return load_model(fixture_text(f"{name}.json"))
+
+    @pytest.mark.parametrize("name", ["tsp6", "colour12", "coloring_path5"])
+    @pytest.mark.parametrize("fuel, cap", [(100, 500), (2_000, 2), (300, 5)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_every_sample_run(self, name, fuel, cap, seed, monkeypatch):
+        model = self.model(name)
+        config = EvolutionConfig(population_size=50, generations=8, seed=seed, fuel=fuel, inspection_cap=cap)
+        mapped = []
+
+        def recorded(*args, **kwargs):
+            outcome = map_genome(*args, **kwargs)
+            mapped.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(noodle.evolution, "map_genome", recorded)
+        report = evolve(model, config)
+        samples = [seed_assignment(model, s) for s in report.sample_seeds]
+        scored = {}
+
+        def reference(outcome):
+            if not outcome.ok:
+                return Fitness(tier="STATIC_REJECT")
+            if outcome.key not in scored:
+                scored[outcome.key] = reference_evaluate_fitness(outcome.program, model, samples, fuel=fuel, cap=cap)
+            return scored[outcome.key]
+
+        size = config.population_size
+        for gen, stat in enumerate(report.generations):
+            outcomes = mapped[gen * size : (gen + 1) * size]
+            fitnesses = [reference(outcome) for outcome in outcomes]
+            best = max(range(size), key=lambda i: (fitnesses[i].key(), -i))
+            assert asdict(stat.best_fitness) == asdict(fitnesses[best])
+            assert stat.best_program == (render(optimize(outcomes[best].program)) if outcomes[best].ok else "")

@@ -461,3 +461,58 @@ class TestWalkReuse:
         program = parse(WALK_REUSE[shape].format(n=name))
         for seed in range(2):
             assert_every_fuel_and_cap(program, model, random_start(model, seed))
+
+
+class TestStopHook:
+    """``until`` sees each new neighbor once, in discovery order; a true answer ends the run
+    with the neighbors found so far, untruncated, having spent no more steps than a full run."""
+
+    @staticmethod
+    def program_for(model, genome_seed):
+        grammar = derive_grammar(model, budget=6)
+        rng = random.Random(genome_seed)
+        while True:
+            outcome = map_genome(grammar, [rng.randrange(256) for _ in range(80)])
+            if outcome.ok and analyze(outcome.program, model).ok:
+                return optimize(outcome.program)
+
+    def assert_stop_hook(self, model, genome_seed, sample_seed, fuel, cap, k):
+        program = self.program_for(model, genome_seed)
+        start = seed_assignment(model, sample_seed)
+        full = neighbors(program, model, start, fuel=fuel, cap=cap)
+        seen = []
+        never = neighbors(program, model, start, fuel=fuel, cap=cap, until=lambda values: seen.append(values))
+        ref = reference_neighbors(program, model, start, fuel=fuel, cap=cap)
+        triple = (full.assignments, full.truncated, full.steps_used)
+        assert (never.assignments, never.truncated, never.steps_used) == triple
+        assert (ref.assignments, ref.truncated, ref.steps_used) == triple
+        assert len(seen) == len(set(seen)) and sorted(seen) == list(full.assignments)
+
+        calls = []
+        stopped = neighbors(program, model, start, fuel=fuel, cap=cap, until=lambda values: calls.append(values) or len(calls) == k)
+        if len(calls) < k:  # fewer than k neighbors: the hook never stopped the run
+            assert (stopped.assignments, stopped.truncated, stopped.steps_used) == triple
+            return
+        assert calls == seen[:k]
+        assert list(stopped.assignments) == sorted(calls)
+        assert not stopped.truncated
+        assert stopped.steps_used <= full.steps_used
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50), k=st.integers(1, 20))
+    def test_tsp6(self, genome_seed, sample_seed, fuel, cap, k, tsp6):
+        self.assert_stop_hook(tsp6, genome_seed, sample_seed, fuel, cap, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(genome_seed=st.integers(0, 2**32), sample_seed=st.integers(0, 1000), fuel=st.integers(0, 3000), cap=st.integers(0, 50), k=st.integers(1, 20))
+    def test_not_equal_triangle(self, genome_seed, sample_seed, fuel, cap, k, triangle):
+        self.assert_stop_hook(triangle, genome_seed, sample_seed, fuel, cap, k)
+
+    def test_two_opt_stops_at_its_first_neighbor(self, tsp6, two_opt):
+        start = (2, 3, 4, 5, 6, 1)
+        full = neighbors(two_opt, tsp6, start)
+        first = neighbors(two_opt, tsp6, start, until=lambda values: True)
+        assert len(first) == 1 and first.assignments[0] in full.assignments
+        assert not first.truncated and 0 < first.steps_used < full.steps_used
+        # the hook leaves the kept compile and its fuel counter as a full run needs them
+        assert neighbors(two_opt, tsp6, start) == full
