@@ -48,6 +48,19 @@ bound on every later step, so the body is compiled once for each, with a
 memo on (body, bound set) that keeps nested iterates from doubling per
 level.  Bindings live in a list with one slot per program variable.
 
+One pair of atoms is compiled as one step: ``redirect(a, b)`` directly
+followed by ``constraint(S, a, c)``, with a, b and c bound and S naming
+the structural circuit alone (compared by identity).  The step spends the
+redirect's fuel and checks its domain, then spends the test's fuel and
+passes only if a is in the walk scope and c is b, and only then copies the
+state.  This is exact: the circuit's ``holds(values, a, c)`` is ``a in
+positions and values[a-1] == positions[c]``, its positions are
+``walk_pos``, the redirect has just set ``values[a-1]`` to
+``walk_pos[b]``, and ``walk_pos`` is one-to-one.  Fuel is spent in the
+same order, so truncation falls on the same step as running the two
+atoms apart.  In 2-opt the test rejects most walked prefixes, which then
+cost no state copy.
+
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
 or an iterate); the tests and effects after it run as one chain of calls,
@@ -152,7 +165,8 @@ def _compile(program: Program, model: Model):
     domains = [v.domain for v in model.variables]
     walk_pos = model.walk_positions()
     walk_scope = model.walk_scope()
-    structural = model.structural_constraint() is not None
+    circuit = model.structural_constraint()
+    structural = circuit is not None
     chain = dict(zip(walk_scope, walk_scope[1:]))
     slots = {index: slot for slot, index in enumerate(sorted(variables_used(program)))}
     remaining = 0
@@ -214,10 +228,9 @@ def _compile(program: Program, model: Model):
             if not last:
                 return (env, state) if emit is None or emit(env, state) else None
             stack = [stages[0][0](env, state)]
-            depth = 1  # len(stack), kept in a local: this loop is the hot path
+            depth, tail = 1, stages[0][1]  # len(stack) and the top stage's chain, kept in locals: this loop is the hot path
             while depth:
                 for env2, state2 in stack[-1]:
-                    tail = stages[depth - 1][1]
                     if tail is not None:
                         outcome = tail(env2, state2)
                         if outcome is None:
@@ -228,11 +241,13 @@ def _compile(program: Program, model: Model):
                             return env2, state2
                     else:
                         stack.append(stages[depth][0](env2, state2))
+                        tail = stages[depth][1]
                         depth += 1
                         break
                 else:
                     stack.pop()
                     depth -= 1
+                    tail = stages[depth - 1][1]  # at depth 0 the loop ends and tail goes unread
             return None
 
         return run
@@ -242,7 +257,19 @@ def _compile(program: Program, model: Model):
         key = (id(atoms), bound)
         if key not in compiled:
             live, fresh = set(bound), set()  # fresh: what enumerations bound since the last effect or iterate
-            closures = [COMPILERS[type(atom)](atom, live, fresh) for atom in atoms]
+            if circuit is None:  # no structural circuit: nothing to fuse
+                closures = [COMPILERS[type(atom)](atom, live, fresh) for atom in atoms]
+            else:
+                closures, i = [], 0
+                while i < len(atoms):
+                    atom = atoms[i]
+                    c = circuit_test(atom, atoms[i + 1], live) if type(atom) is Redirect and i + 1 < len(atoms) else None
+                    if c is None:
+                        closures.append(COMPILERS[type(atom)](atom, live, fresh))
+                        i += 1
+                    else:  # the redirect and the test it is followed by, as one step
+                        closures.append(compile_redirect(atom, live, fresh, c))
+                        i += 2
             stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
                 if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
@@ -330,11 +357,45 @@ def _compile(program: Program, model: Model):
 
         return make, True
 
-    def compile_redirect(atom: Redirect, bound: set, fresh: set):
+    def circuit_test(atom: Redirect, after, bound: set):
+        """c's index when ``after`` is ``constraint(S, a, c)`` on the redirect's a, with a, b and c
+        bound and S naming the structural circuit alone; else None."""
+        if type(after) is ConstraintAtom and after.a == atom.a and {atom.a.index, atom.b.index, after.b.index} <= bound:
+            named = model.constraints_by_name(after.name)
+            if len(named) == 1 and named[0] is circuit:
+                return after.b.index
+        return None
+
+    def compile_redirect(atom: Redirect, bound: set, fresh: set, c=None):
         fresh.clear()
         if atom.a.index not in bound or atom.b.index not in bound:
             return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
+        if c is not None:
+            sc = slots[c]
+
+            def make(then):
+                def redirect_test(env, state):
+                    nonlocal remaining
+                    if remaining <= 0:
+                        raise _Truncated
+                    remaining -= 1
+                    a, b = env[sa], env[sb]
+                    position = walk_pos.get(b)
+                    if position is None or position not in domains[a - 1]:
+                        return None
+                    if remaining <= 0:  # the test's step
+                        raise _Truncated
+                    remaining -= 1
+                    if env[sc] != b or a not in walk_pos:  # walk_pos is one-to-one: walk_pos[c] == position iff c is b
+                        return None
+                    state2 = state[:]
+                    state2[a - 1] = position
+                    return then(env, state2) if then else (env, state2)
+
+                return redirect_test
+
+            return make, True
 
         def make(then):
             def redirect(env, state):

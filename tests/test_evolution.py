@@ -14,7 +14,7 @@ from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
 from noodle.lang.ast import render, variables_used
 from noodle.lang.interp import neighbors
 from noodle.lang.parser import parse
-from noodle.model import InfeasibleError, is_feasible, load_model, seed_assignment
+from noodle.model import InfeasibleError, is_feasible, load_model, seed_assignment, violations
 
 from tests.conftest import CIRCUIT_WITH_ALL_DIFFERENT, fixture_text, narrowed_tsp6
 from tests.test_analyzer import LABEL_FREE_CASES
@@ -438,7 +438,17 @@ class TestSampleClasses:
                 evaluate(two_opt, tsp6, samples)
 
 
+# models with late movers (see TestFitnessAgainstEverySampleRun.late_movers): a single
+# kind and two kinds
+LATE_MOVER_MODELS = [
+    pytest.param(load_model(fixture_text("tsp6.json")), id="tsp6"),
+    pytest.param(narrowed_tsp6(0, (2, 3, 4, 6)), id="asymmetric-domain"),
+    pytest.param(load_model(CIRCUIT_WITH_ALL_DIFFERENT), id="circuit-with-all-different"),
+]
+
 fuels = st.sampled_from([0, 1, 5, 30, 200, 2_000, 20_000])
+# enough to reach a late mover's late neighbor: caps 0 and 1 end a run at its first
+late_fuels, late_caps = st.sampled_from([200, 2_000, 20_000]), st.sampled_from([2, 7, 500])
 caps = st.sampled_from([0, 1, 2, 7, 500])
 sample_plans = st.lists(st.tuples(st.sampled_from(["seed", "copy", "relabel"]), st.integers(0, 2**16)), min_size=1, max_size=6)
 
@@ -496,9 +506,49 @@ class TestFitnessAgainstEverySampleRun:
             cls.programs[model.name] = list(found.values())
         return cls.programs[model.name]
 
+    moving: dict[tuple, list] = {}
+
+    @classmethod
+    def late_movers(cls, model):
+        """(program, samples) pairs of the evolved programs and the five samples of evolution
+        seeds 0-2 where a neighbor after a run's first still moves the score: it is feasible
+        after an infeasible first, or breaks a kind no earlier neighbor broke.  A run that
+        settles too early scores these wrong, and the sample plans above rarely reach them."""
+        key = model.name, model.variables
+        if key not in cls.moving:
+            cls.moving[key] = []
+            for seed in range(3):
+                try:
+                    samples = samples_for(model, seed=seed)
+                except InfeasibleError:  # a narrowed domain that a seeded tour leaves
+                    continue
+                programs = cls.evolved_programs(model)
+                cls.moving[key] += [(program, samples) for program in programs if cls.moves_late(optimize(program), model, samples)]
+        return cls.moving[key]
+
+    @staticmethod
+    def moves_late(program, model, samples):
+        broken = set()
+        for sample in dict.fromkeys(samples):
+            run = []
+            neighbors(program, model, sample, fuel=20_000, cap=500, until=lambda values: run.append(violations(model, values)))
+            for violated in run[1:]:
+                if (run[0] and not violated) or violated - broken - run[0]:
+                    return True
+            for violated in run:
+                broken |= violated
+        return False
+
+    @classmethod
+    def draw_case(cls, model, data, plan):
+        """An evolved program and its samples: planned ones, or with no plan a late mover's
+        (more samples after them could break the kinds a wrong early stop misses)."""
+        if plan is None:
+            return data.draw(st.sampled_from(cls.late_movers(model)))
+        return data.draw(st.sampled_from(cls.evolved_programs(model))), planned_samples(model, plan)
+
     def assert_matches_reference(self, model, data, plan, fuel, cap):
-        program = data.draw(st.sampled_from(self.evolved_programs(model)))
-        samples = planned_samples(model, plan)
+        program, samples = self.draw_case(model, data, plan)
         assume(samples)
         got = evaluate_fitness(program, model, samples, fuel=fuel, cap=cap)
         assert asdict(got) == asdict(reference_evaluate_fitness(program, model, samples, fuel=fuel, cap=cap))
@@ -522,6 +572,12 @@ class TestFitnessAgainstEverySampleRun:
     @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
     def test_coloring_triangle(self, triangle, data, plan, fuel, cap):
         self.assert_matches_reference(triangle, data, plan, fuel, cap)
+
+    @pytest.mark.parametrize("model", LATE_MOVER_MODELS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), fuel=late_fuels, cap=late_caps)
+    def test_late_movers(self, model, data, fuel, cap):
+        self.assert_matches_reference(model, data, None, fuel, cap)
 
     @pytest.mark.parametrize(
         "text",
@@ -560,8 +616,7 @@ class TestSettledFitnessAgainstEverySampleRun:
     are empty, and the default call, which never stops, keeps exact notes."""
 
     def assert_matches_reference(self, model, data, plan, fuel, cap):
-        program = data.draw(st.sampled_from(TestFitnessAgainstEverySampleRun.evolved_programs(model)))
-        samples = planned_samples(model, plan)
+        program, samples = TestFitnessAgainstEverySampleRun.draw_case(model, data, plan)
         assume(samples)
         expected = reference_evaluate_fitness(program, model, samples, fuel=fuel, cap=cap)
         settled = evaluate_fitness(program, model, samples, fuel=fuel, cap=cap, notes=False)
@@ -588,6 +643,12 @@ class TestSettledFitnessAgainstEverySampleRun:
     @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)
     def test_coloring_triangle(self, triangle, data, plan, fuel, cap):
         self.assert_matches_reference(triangle, data, plan, fuel, cap)
+
+    @pytest.mark.parametrize("model", LATE_MOVER_MODELS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), fuel=late_fuels, cap=late_caps)
+    def test_late_movers(self, model, data, fuel, cap):
+        self.assert_matches_reference(model, data, None, fuel, cap)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), plan=sample_plans, fuel=fuels, cap=caps)

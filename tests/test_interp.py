@@ -13,7 +13,7 @@ from noodle.lang.interp import neighbors
 from noodle.lang.parser import MAX_ITERATE_NESTING, parse
 from noodle.model import load_model, seed_assignment
 
-from tests.conftest import fixture_text, nested_iterates
+from tests.conftest import fixture_text, narrowed_tsp6, nested_iterates
 from tests.oracles import is_tour, reference_neighbors
 
 
@@ -429,13 +429,94 @@ class TestTwoOptSweep:
         assert_every_fuel_and_cap(two_opt, model, seed_assignment(model, 0), caps=range(41))
 
 
+def circuit_models(*circuits, structural=0, extra=False):
+    """Four variables n1..n4 with domains 1..4 and one circuit per ``(alias, scope)``; with
+    ``extra``, a fifth variable x beside them, tied to n1 by a not_equal."""
+    names = ["n1", "n2", "n3", "n4"] + ["x"] * extra
+    document = {
+        "name": "circuits",
+        "variables": [{"name": name, "domain": {"lo": 1, "hi": 4}} for name in names],
+        "constraints": [{"kind": "circuit", "scope": scope, "alias": alias} for alias, scope in circuits]
+        + [{"kind": "not_equal", "scope": ["x", "n1"]}] * extra,
+    }
+    if structural is not None:
+        document["structural"] = structural
+    return load_model(document)
+
+
+# the structural circuit beside x: redirect's a or the test's c can be x, outside the walk scope
+BESIDE_CIRCUIT = circuit_models(("next", ["n1", "n2", "n3", "n4"]), extra=True)
+# "loop" names the structural circuit and a second one; "ring" a circuit that is not structural
+TWO_CIRCUITS = circuit_models(("loop", ["n1", "n2", "n3", "n4"]), ("loop", ["n4", "n2", "n1", "n3"]), ("ring", ["n2", "n4", "n3", "n1"]))
+# a circuit in a scope order other than the variable order that walks use without a structural one
+UNSTRUCTURED = circuit_models(("ring", ["n3", "n1", "n4", "n2"]), structural=None)
+
+# (model, program): a redirect followed by a constraint test; only a test on the redirected
+# variable against the structural circuit alone runs as one step with the redirect
+REDIRECT_THEN_TEST = {
+    "a beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t0, t2)"),
+    "c beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(not_equal, t4, t5), constraint(next, t2, t3), "
+    "redirect(t2, t0), constraint(next, t2, t4)"),
+    "b beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), redirect(t2, t0), constraint(next, t2, t0)"),
+    "a name covering two circuits": (TWO_CIRCUITS, "constraint(loop, t0, t1), constraint(loop, t2, t3), redirect(t0, t2), constraint(loop, t0, t3)"),
+    "a circuit that is not structural": (TWO_CIRCUITS, "constraint(loop, t0, t1), constraint(loop, t2, t3), redirect(t0, t2), constraint(ring, t0, t3)"),
+    "no structural circuit": (UNSTRUCTURED, "constraint(ring, t0, t1), constraint(ring, t2, t3), redirect(t0, t2), constraint(ring, t0, t3)"),
+    "test on b": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t2, t0)"),
+    "test on another variable": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t1, t2)"),
+    "c unbound": (BESIDE_CIRCUIT, "constraint(next, t0, t1), redirect(t0, t1), constraint(next, t0, t2), redirect(t2, t1)"),
+}
+
+
+class TestRedirectThenCircuitTest:
+    """``redirect(a, b), constraint(S, a, c)`` with S the structural circuit alone decides the
+    test before the state is copied; results, truncation and steps stay the reference's."""
+
+    def test_two_opt_on_twenty_cities(self, two_opt):
+        # TestTwoOptSweep covers tsp6 and nine cities at every fuel
+        from tests.test_seeded_output import perfbench_workloads
+
+        model = load_model(perfbench_workloads().tsp_document(1))
+        start = seed_assignment(model, 0)
+        full = neighbors(two_opt, model, start).steps_used
+        first = neighbors(two_opt, model, start, until=lambda values: True).steps_used
+        # every fuel up to past the first neighbor: truncation lands on each step of the
+        # fused pairs before it, the redirect's and the test's, failed tests included
+        for fuel in [*range(first + 2), *range(first + 2, full, 997), full, full + 1]:
+            assert_matches_reference(two_opt, model, start, fuel=fuel)
+        for cap in (0, 1, 40, 340, 341):
+            assert_matches_reference(two_opt, model, start, cap=cap)
+
+    def test_redirect_outside_the_domain_spends_one_step(self, tsp6):
+        # a's own position is outside its domain: each redirect fails, and its test never runs
+        program = parse("constraint(all_diff_next, t0, t1), redirect(t0, t0), constraint(all_diff_next, t0, t0)")
+        start = (2, 3, 4, 5, 6, 1)
+        assert neighbors(program, tsp6, start) == reference_neighbors(program, tsp6, start) == interp.NeighborSet((), False, 1 + 6)
+
+    def test_narrowed_domain(self, two_opt):
+        model = narrowed_tsp6(0, (2, 3, 4, 6))
+        for seed in range(3):
+            assert_every_fuel_and_cap(two_opt, model, random_start(model, seed))
+
+    @pytest.mark.parametrize("case", REDIRECT_THEN_TEST)
+    def test_matches_reference(self, case):
+        model, text = REDIRECT_THEN_TEST[case]
+        program = parse(text)
+        assert analyze(program, model).ok
+        for seed in range(4):
+            assert_every_fuel_and_cap(program, model, random_start(model, seed))
+
+
 # (model, the name its constraints go by)
 REUSE_MODELS = [(load_model(fixture_text("tsp6.json")), "all_diff_next"), (ALL_DIFFERENT5, "all_different"), (SHARED_NAME5, "link")]
 
 # an iterate is marked for reuse when an enumeration ran since the last effect or
-# iterate and bound a variable the walk (its body and its start) does not read
+# iterate and bound a variable the walk (its body and its start) does not read; a
+# repeated walk's prefixes are rebuilt from the current bindings plus the variables the
+# walk writes, which may come before others (the header rebinds an enumerated variable)
 WALK_REUSE = {
     "bound start": "constraint({n}, t0, t1), constraint({n}, t2, t3), iterate(t4 - t5, t1, (swap_values(t4, t5))), swap_values(t0, t2)",
+    "header rebinds an enumerated variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
+    "iterate(t2 - t4, t1, (swap_values(t2, t4))), swap_values(t0, t3)",
     "unbound start": "constraint({n}, t0, t1), iterate(t2 - t3, t4, (swap_values(t2, t3))), swap_values(t0, t4)",
     "body reads an enumerated variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
     "iterate(t4 - t5, t1, (constraint({n}, t4, t0), swap_values(t4, t5))), swap_values(t2, t5)",

@@ -477,6 +477,29 @@ class TestRelationPairs:
             for a, b in itertools.product(range(1, total + 1), repeat=2):
                 assert constraint.holds(values, a, b) == ((a, b) in pairs), (constraint.kind, a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(2, 7), data=st.data())
+    def test_circuit_test_after_a_redirect(self, total, data):
+        # redirect(a, b) then constraint(S, a, c), S the structural circuit alone: the
+        # interpreter passes the test iff a is in the walk scope and c is b, before it
+        # writes the state; that is the circuit's holds on the redirected state
+        names = [f"v{i}" for i in range(1, total + 1)]
+        scope = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=total, unique=True))
+        model = load_model({
+            "name": "circuit",
+            "variables": [{"name": v, "domain": {"lo": 1, "hi": len(scope)}} for v in names],
+            "constraints": [{"kind": "circuit", "scope": scope}],
+            "structural": 0,
+        })
+        circuit, walk_pos = model.structural_constraint(), model.walk_positions()
+        values = tuple(data.draw(st.integers(0, len(scope) + 1)) for _ in names)
+        for a, b, c in itertools.product(range(1, total + 1), repeat=3):
+            if b not in walk_pos:  # the redirect fails before the test
+                continue
+            redirected = list(values)
+            redirected[a - 1] = walk_pos[b]
+            assert (a in walk_pos and c == b) == circuit.holds(redirected, a, c), (a, b, c)
+
 
 class TestCircuitAgainstCycleOracle:
     @settings(max_examples=300, deadline=None)
