@@ -8,6 +8,8 @@ opcode events, on fixed inputs:
 * ``solve-tsp20``: the first ``neighbors`` call of perfbench's
   solve-tsp20 workload (``fixtures/two_opt.ndl`` on its 20-city instance,
   first restart), with the program compiled before counting starts;
+* ``solve-tsp30``: the same on the 30-city instance of the same seed, so
+  that a saving that grows with the tour's length shows as a count;
 * ``synth-tsp6``: every ``neighbors`` call of a small evolution on
   ``fixtures/tsp6.json`` (seed 1, population 200, 5 generations), compiles
   included;
@@ -76,17 +78,23 @@ def per_fitness_call(counts):
             "bytecodes_per_call": counts["opcode"] / counts["calls"]}
 
 
-def main():
-    tsp20 = load_model(json.dumps(tsp_document(TSP_INSTANCE_SEED)))
-    two_opt = parse((ROOT / "fixtures" / "two_opt.ndl").read_text())
+def first_neighborhood(cities, two_opt):
+    """Per-step counts of the first ``neighbors`` call of a ``solve`` restart on perfbench's TSP instance."""
+    model = load_model(json.dumps(tsp_document(TSP_INSTANCE_SEED, cities)))
     search = SearchConfig(restarts=1, max_steps=1, seed=SOLVE_SEARCH_SEED)
-    solve(tsp20, two_opt, search)  # compiles two_opt, which the next call reuses
+    solve(model, two_opt, search)  # compiles two_opt, which the counted call reuses
+    return per_step(counted(lambda: solve(model, two_opt, search), "neighbors", INTERP, calls=1))
+
+
+def main():
+    two_opt = parse((ROOT / "fixtures" / "two_opt.ndl").read_text())
     tsp6 = load_model((ROOT / "fixtures" / "tsp6.json").read_text())
     color12 = load_model(json.dumps(coloring_document(COLOR_INSTANCE_SEED)))
     evolution = EvolutionConfig(population_size=200, generations=5, seed=1)
     fitness = ("evaluate_fitness", "evolution.py")
     print(json.dumps({
-        "solve-tsp20": per_step(counted(lambda: solve(tsp20, two_opt, search), "neighbors", INTERP, calls=1)),
+        "solve-tsp20": first_neighborhood(20, two_opt),
+        "solve-tsp30": first_neighborhood(30, two_opt),
         "synth-tsp6": per_step(counted(lambda: evolve(tsp6, evolution), "neighbors", INTERP)),
         "synth-tsp6 evaluate_fitness": per_fitness_call(counted(lambda: evolve(tsp6, evolution), *fitness)),
         "synth-color12 evaluate_fitness": per_fitness_call(counted(lambda: evolve(color12, evolution), *fitness)),

@@ -61,6 +61,24 @@ same order, so truncation falls on the same step as running the two
 atoms apart.  In 2-opt the test rejects most walked prefixes, which then
 cost no state copy.
 
+That step is joined to a walk directly before it: ``iterate`` from a
+bound start, then ``redirect(a, b), constraint(S, a, c)`` fused as
+above, where the walk writes c (its header, its body or a nested
+header does) and writes neither a nor b.  Only a prefix whose c is b
+can pass the fused step, so the joined stage keeps, beside each walk it
+runs, an index from c's value in each prefix to that prefix's positions
+(a list: on a state that is not a permutation the walk can repeat a
+value), and yields only the prefixes listed under b, rebuilding just
+those from a reused walk; the fused step still runs on each of them.
+Every prefix it skips is charged what the fused step would have spent
+rejecting it: one step when b's position is outside a's domain, else
+two.  a, b and the domain test are the same for every prefix of one
+walk, so each run of skipped prefixes is one subtraction, and when the
+fuel left does not cover a run, ``remaining`` drops to 0 and the run
+truncates: step by step it would have stopped at 0 within that run
+too, so neighbors, truncation and ``steps_used`` are unchanged.  In
+2-opt this passes on one prefix per (t2, t3) branch, not ~19.
+
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
 or an iterate); the tests and effects after it run as one chain of calls,
@@ -101,7 +119,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, variables_used
+from noodle.lang.ast import ConstraintAtom, Iterate, Program, Redirect, Swap, variables_used, walk as preorder
 from noodle.model import Assignment, Model
 
 DEFAULT_FUEL = 1_000_000
@@ -263,13 +281,16 @@ def _compile(program: Program, model: Model):
                 closures, i = [], 0
                 while i < len(atoms):
                     atom = atoms[i]
-                    c = circuit_test(atom, atoms[i + 1], live) if type(atom) is Redirect and i + 1 < len(atoms) else None
-                    if c is None:
-                        closures.append(COMPILERS[type(atom)](atom, live, fresh))
-                        i += 1
-                    else:  # the redirect and the test it is followed by, as one step
-                        closures.append(compile_redirect(atom, live, fresh, c))
+                    kind = type(atom)
+                    if kind is Redirect and i + 1 < len(atoms) and (c := circuit_test(atom, atoms[i + 1], live)) is not None:
+                        closures.append(compile_redirect(atom, live, fresh, c))  # the redirect and the test after it, as one step
                         i += 2
+                    elif kind is Iterate:  # the two atoms after it may join it
+                        closures.append(compile_iterate(atom, live, fresh, atoms[i + 1:i + 3]))
+                        i += 1
+                    else:
+                        closures.append(COMPILERS[kind](atom, live, fresh))
+                        i += 1
             stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
                 if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
@@ -419,11 +440,14 @@ def _compile(program: Program, model: Model):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set, fresh: set):
+    def compile_iterate(atom: Iterate, bound: set, fresh: set, after=()):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
         walks = walks_state = None  # a marked iterate's walks from the state it last saw, by start and reads
+        join = start_bound and len(after) == 2 and type(after[0]) is Redirect
+        if join:
+            entry = set(bound)
         if fresh:  # an enumeration ran since the last state change: mark the walk if it reads none of what it bound
             reads = variables_used(Program(atom.body)) | {si}
             if fresh - reads:
@@ -435,8 +459,12 @@ def _compile(program: Program, model: Model):
         conj_later = compile_conj(atom.body, bound_later)[0]
         first, later = first_outcome(conj), first_outcome(conj_later)
         bound |= bound_later
-        if walks is not None:
-            written = [slots[v] for v in sorted(bound - entry | {xi, yi})]
+        if walks is not None or join:  # what a walk writes: what its body binds, its header and nested ones
+            writes = bound - entry | {v.index for inner in (atom, *preorder(atom.body)) if type(inner) is Iterate for v in (inner.x, inner.y)}
+            written = [slots[v] for v in sorted(writes)]
+        if join:  # the fused redirect and circuit test after the walk, on its c alone
+            c = circuit_test(after[0], after[1], bound)
+            join = c in writes and not {after[0].a.index, after[0].b.index} & writes
         same = xi == yi
         steps = range(len(walk_scope))
 
@@ -487,6 +515,59 @@ def _compile(program: Program, model: Model):
             if walks is not None:
                 walks[key] = entry_remaining - remaining, prefixes
             return prefixes
+
+        if join:
+            sa, sb, sc = slots[after[0].a.index], slots[after[0].b.index], slots[c]
+            kept, walks = walks, None  # the stage keeps its walks itself, as indexes; ``walk`` only runs them
+            kept_state = None
+
+            def joined(env, state):
+                """The walk's prefixes whose c is b, each after the fuel the fused step would spend
+                rejecting the prefixes before it, and then that for the prefixes after the last."""
+                nonlocal remaining, kept_state
+                if remaining <= 0:
+                    raise _Truncated
+                remaining -= 1
+                a, b, start_vid = env[sa], env[sb], env[ss]
+                position = walk_pos.get(b)
+                cost = 1 if position is None or position not in domains[a - 1] else 2  # what the fused step spends rejecting a prefix
+                hit = None
+                if kept is not None:
+                    if state is not kept_state:
+                        kept.clear()
+                        kept_state = state
+                    key = (start_vid, *[env[slot] for slot in keyed])
+                    hit = kept.get(key)
+                reused = hit is not None and hit[0] <= remaining
+                if reused:  # a walk already run: its steps in one go
+                    remaining -= hit[0]
+                    _, count, index = hit
+                else:
+                    entry_remaining = remaining
+                    prefixes = walk(env, state, start_vid)
+                    count, index = len(prefixes), {}  # each c value's prefixes, with their positions
+                    for k, outcome in enumerate(prefixes):
+                        index.setdefault(outcome[0][sc], []).append((k, outcome))
+                    if kept is not None:
+                        kept[key] = entry_remaining - remaining, count, index
+                done = 0
+                for k, outcome in (*index.get(b, ()), (count, None)):
+                    skipped = (k - done) * cost  # each run of skipped prefixes in one subtraction
+                    if skipped > remaining:  # the fused step runs out of fuel within the run
+                        remaining = 0
+                        raise _Truncated
+                    remaining -= skipped
+                    if outcome is None:
+                        return
+                    if reused:  # rebuilt from the current bindings plus what the walk writes
+                        walked, walk_state = outcome
+                        outcome = env[:], walk_state
+                        for slot in written:
+                            outcome[0][slot] = walked[slot]
+                    done = k + 1
+                    yield outcome
+
+            return joined, False
 
         def iterate(env, state):
             nonlocal remaining

@@ -452,7 +452,9 @@ TWO_CIRCUITS = circuit_models(("loop", ["n1", "n2", "n3", "n4"]), ("loop", ["n4"
 UNSTRUCTURED = circuit_models(("ring", ["n3", "n1", "n4", "n2"]), structural=None)
 
 # (model, program): a redirect followed by a constraint test; only a test on the redirected
-# variable against the structural circuit alone runs as one step with the redirect
+# variable against the structural circuit alone runs as one step with the redirect.  After a
+# walk from a bound start that writes the test's c but neither a nor b, the walk joins them
+# (JOINED); the rest are near-misses that keep the walk apart, then the fused step
 REDIRECT_THEN_TEST = {
     "a beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t0, t2)"),
     "c beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(not_equal, t4, t5), constraint(next, t2, t3), "
@@ -464,7 +466,57 @@ REDIRECT_THEN_TEST = {
     "test on b": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t2, t0)"),
     "test on another variable": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t1, t2)"),
     "c unbound": (BESIDE_CIRCUIT, "constraint(next, t0, t1), redirect(t0, t1), constraint(next, t0, t2), redirect(t2, t1)"),
+    "joined 2-opt": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+    "redirect(t0, t2), constraint(next, t0, t5), redirect(t1, t3)"),
+    "joined on x": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+    "redirect(t0, t2), constraint(next, t0, t4)"),
+    "joined on a body binding": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t0), "
+    "iterate(t3 - t4, t1, (constraint(next, t4, t5), redirect(t5, t3))), redirect(t0, t2), constraint(next, t0, t5)"),
+    "joined, an effect before": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), swap_values(t1, t3), "
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # the walk is not kept
+    "joined in an iterate body": (BESIDE_CIRCUIT, "iterate(t0 - t1, t2, (iterate(t3 - t4, t1, (redirect(t4, t3))), "
+    "redirect(t0, t2), constraint(next, t0, t4)))"),  # committed choice drops the prefixes after the first that passes
+    "joined, a beside the walk": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), "
+    "iterate(t4 - t5, t3, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # a is x or n1
+    "joined, b's position outside a's domain": (load_model(fixture_text("tsp6.json")), "constraint(all_diff_next, t0, t1), "
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t0), constraint(all_diff_next, t0, t5)"),
+    "a written by the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+    "redirect(t4, t2), constraint(next, t4, t5)"),
+    "b written by the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+    "redirect(t0, t4), constraint(next, t0, t5)"),
+    "c bound before the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+    "redirect(t0, t2), constraint(next, t0, t3)"),
+    "a rebound by a nested walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), "
+    "iterate(t4 - t5, t1, (iterate(t0 - t3, t5, (redirect(t3, t0))))), redirect(t0, t2), constraint(next, t0, t5)"),
+    "walk from an unbound start": (BESIDE_CIRCUIT, "constraint(next, t0, t1), iterate(t3 - t4, t2, (redirect(t4, t3))), "
+    "redirect(t0, t1), constraint(next, t0, t4)"),
+    "walk, then a name covering two circuits": (TWO_CIRCUITS, "constraint(loop, t0, t1), constraint(loop, t2, t3), "
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(loop, t0, t5)"),
+    "walk, no structural circuit": (UNSTRUCTURED, "constraint(ring, t0, t1), constraint(ring, t2, t3), "
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(ring, t0, t5)"),
 }
+JOINED = {case for case in REDIRECT_THEN_TEST if case.startswith("joined")}
+
+
+def joins(program, model):
+    """Whether ``program`` compiles on ``model`` with a walk joined to the fused step after it."""
+    seen, todo = set(), [interp._compile(program, model)]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, (tuple, list)):
+            todo += item
+        elif hasattr(item, "__code__"):
+            if item.__code__.co_name == "joined":
+                return True
+            for cell in item.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a variable its compile left unset
+                    pass
+    return False
 
 
 class TestRedirectThenCircuitTest:
@@ -502,8 +554,46 @@ class TestRedirectThenCircuitTest:
         model, text = REDIRECT_THEN_TEST[case]
         program = parse(text)
         assert analyze(program, model).ok
+        assert joins(program, model) == (case in JOINED)
         for seed in range(4):
             assert_every_fuel_and_cap(program, model, random_start(model, seed))
+
+    def test_a_repeated_value_passes_twice(self):
+        # the successor array (2, 3, 2, 1) walks n1 -> n2 -> n3 -> n2 -> n3: for b = n2 the
+        # prefixes after steps 1 and 3 both pass, and only a = n4 (the branch whose walk starts
+        # at n1) sets n4 to 2, so both neighbors below come from that one joined stage
+        model, text = REDIRECT_THEN_TEST["joined 2-opt"]
+        program = parse(text.removesuffix(", redirect(t1, t3)"))
+        start = (2, 3, 2, 1, 1)
+        assert {(2, 1, 2, 2, 1), (2, 3, 2, 2, 1)} <= set(neighbors(program, model, start).assignments)
+        assert_every_fuel_and_cap(program, model, start)
+
+    def test_two_opt_joined_stages_on_twenty_cities(self, two_opt):
+        # the first branch binds t0 and t2 to n1: n1's own position is outside its domain,
+        # so the fused step would spend one step on each of the walk's 19 prefixes; the
+        # second binds t2 to n2, and only the prefix whose t5 is n2 passes, with two steps
+        # spent on each prefix before it and after it.  Fuel runs out on each skipped run's
+        # last step, on the step before it and on the step after it
+        from tests.test_seeded_output import perfbench_workloads
+
+        model = load_model(perfbench_workloads().tsp_document(1))
+        start = seed_assignment(model, 0)
+        assert 1 not in model.variables[0].domain
+        walk = len(start) - 1  # prefixes, each a walk step and its redirect
+        first = 3 + 2 * walk + walk  # two enumerations, the iterate, the walk and its skipped run
+        t5 = start[start[0] - 1]  # the walk from t1 = succ(n1) steps to succ^2(n1) first
+        k = 0
+        while t5 != 2:
+            t5, k = start[t5 - 1], k + 1
+        before = first + 1 + 2 * walk + 2 * k  # the iterate, the kept walk and the run before n2's prefix
+        after = before + 2 + 1 + 2 * (walk - k - 1)  # the fused step, redirect(t1, t3), the run after
+        assert neighbors(two_opt, model, start, until=lambda values: True).steps_used == before + 3
+        for boundary in (first, before, after):
+            for fuel in (boundary - 1, boundary, boundary + 1):
+                assert_matches_reference(two_opt, model, start, fuel=fuel)
+                result = neighbors(two_opt, model, start, fuel=fuel)
+                assert result.truncated and result.steps_used == fuel
+                assert len(result) == (fuel >= before + 3)
 
 
 # (model, the name its constraints go by)
@@ -512,7 +602,8 @@ REUSE_MODELS = [(load_model(fixture_text("tsp6.json")), "all_diff_next"), (ALL_D
 # an iterate is marked for reuse when an enumeration ran since the last effect or
 # iterate and bound a variable the walk (its body and its start) does not read; a
 # repeated walk's prefixes are rebuilt from the current bindings plus the variables the
-# walk writes, which may come before others (the header rebinds an enumerated variable)
+# walk writes, which may come before others (the header rebinds an enumerated variable) and
+# include the variables a nested walk's header rebinds
 WALK_REUSE = {
     "bound start": "constraint({n}, t0, t1), constraint({n}, t2, t3), iterate(t4 - t5, t1, (swap_values(t4, t5))), swap_values(t0, t2)",
     "header rebinds an enumerated variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
@@ -529,6 +620,8 @@ WALK_REUSE = {
     "iterate(t4 - t5, t2, (swap_values(t4, t5))), swap_values(t1, t5)",
     "effect in between, not marked": "constraint({n}, t0, t1), constraint({n}, t2, t3), swap_values(t0, t2), "
     "iterate(t4 - t5, t1, (swap_values(t4, t5)))",
+    "a nested header rebinds an entry variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
+    "iterate(t4 - t5, t1, (iterate(t0 - t6, t5, (swap_values(t0, t6))))), swap_values(t0, t2)",
     "nested in an iterate body": "iterate(t0 - t1, t2, (constraint({n}, t3, t4), iterate(t5 - t6, t1, (swap_values(t5, t6))), swap_values(t3, t6)))",
 }
 
