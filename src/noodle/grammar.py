@@ -53,10 +53,6 @@ class MappingOutcome:
     def ok(self) -> bool:
         return self.invalid is None
 
-    @property
-    def consumed(self) -> int:
-        return len(self.derivation)
-
     @cached_property
     def program(self) -> Program | None:
         """The syntax tree, built on first use; None when invalid."""

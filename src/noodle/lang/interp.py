@@ -48,36 +48,28 @@ bound on every later step, so the body is compiled once for each, with a
 memo on (body, bound set) that keeps nested iterates from doubling per
 level.  Bindings live in a list with one slot per program variable.
 
-One pair of atoms is compiled as one step: ``redirect(a, b)`` directly
-followed by ``constraint(S, a, c)``, with a, b and c bound and S naming
-the structural circuit alone (compared by identity).  The step spends the
-redirect's fuel and checks its domain, then spends the test's fuel and
-passes only if a is in the walk scope and c is b, and only then copies the
-state.  This is exact: the circuit's ``holds(values, a, c)`` is ``a in
-positions and values[a-1] == positions[c]``, its positions are
-``walk_pos``, the redirect has just set ``values[a-1]`` to
-``walk_pos[b]``, and ``walk_pos`` is one-to-one.  Fuel is spent in the
-same order, so truncation falls on the same step as running the two
-atoms apart.  In 2-opt the test rejects most walked prefixes, which then
-cost no state copy.
-
-That step is joined to a walk directly before it: ``iterate`` from a
-bound start, then ``redirect(a, b), constraint(S, a, c)`` fused as
-above, where the walk writes c (its header, its body or a nested
-header does) and writes neither a nor b.  Only a prefix whose c is b
-can pass the fused step, so the joined stage keeps, beside each walk it
-runs, an index from c's value in each prefix to that prefix's positions
-(a list: on a state that is not a permutation the walk can repeat a
-value), and yields only the prefixes listed under b, rebuilding just
-those from a reused walk; the fused step still runs on each of them.
-Every prefix it skips is charged what the fused step would have spent
-rejecting it: one step when b's position is outside a's domain, else
-two.  a, b and the domain test are the same for every prefix of one
-walk, so each run of skipped prefixes is one subtraction, and when the
-fuel left does not cover a run, ``remaining`` drops to 0 and the run
-truncates: step by step it would have stopped at 0 within that run
-too, so neighbors, truncation and ``steps_used`` are unchanged.  In
-2-opt this passes on one prefix per (t2, t3) branch, not ~19.
+A walk is joined to the two atoms after it: ``iterate`` from a bound
+start, then ``redirect(a, b), constraint(S, a, c)`` with S naming the
+structural circuit alone (compared by identity), where the walk writes c
+(its header, its body or a nested header does) and writes neither a nor
+b.  The circuit's ``holds(values, a, c)`` is ``a in positions and
+values[a-1] == positions[c]``, its positions are ``walk_pos``, the
+redirect has just set ``values[a-1]`` to ``walk_pos[b]``, and
+``walk_pos`` is one-to-one, so only a prefix whose c is b can pass the
+test.  The joined stage keeps, beside each walk it runs, an index from
+c's value in each prefix to that prefix's positions (a list: on a state
+that is not a permutation the walk can repeat a value), and yields only
+the prefixes listed under b, rebuilding just those from a reused walk;
+the redirect and the test still run on each of them.  Every prefix it
+skips is charged what those two atoms would have spent rejecting it:
+one step when b's position is outside a's domain (the redirect fails
+its domain check), else two (the redirect copies the state, then the
+test fails).  a, b and the domain test are the same for every prefix of
+one walk, so each run of skipped prefixes is one subtraction, and when
+the fuel left does not cover a run, ``remaining`` drops to 0 and the run
+truncates: step by step it would have stopped at 0 within that run too,
+so neighbors, truncation and ``steps_used`` are unchanged.  In 2-opt
+this passes on one prefix per (t2, t3) branch, not ~19.
 
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
@@ -275,22 +267,10 @@ def _compile(program: Program, model: Model):
         key = (id(atoms), bound)
         if key not in compiled:
             live, fresh = set(bound), set()  # fresh: what enumerations bound since the last effect or iterate
-            if circuit is None:  # no structural circuit: nothing to fuse
-                closures = [COMPILERS[type(atom)](atom, live, fresh) for atom in atoms]
-            else:
-                closures, i = [], 0
-                while i < len(atoms):
-                    atom = atoms[i]
-                    kind = type(atom)
-                    if kind is Redirect and i + 1 < len(atoms) and (c := circuit_test(atom, atoms[i + 1], live)) is not None:
-                        closures.append(compile_redirect(atom, live, fresh, c))  # the redirect and the test after it, as one step
-                        i += 2
-                    elif kind is Iterate:  # the two atoms after it may join it
-                        closures.append(compile_iterate(atom, live, fresh, atoms[i + 1:i + 3]))
-                        i += 1
-                    else:
-                        closures.append(COMPILERS[kind](atom, live, fresh))
-                        i += 1
+            closures = [  # an iterate gets the two atoms after it, which may join it
+                compile_iterate(atom, live, fresh, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live, fresh)
+                for i, atom in enumerate(atoms)
+            ]
             stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
                 if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
@@ -378,45 +358,11 @@ def _compile(program: Program, model: Model):
 
         return make, True
 
-    def circuit_test(atom: Redirect, after, bound: set):
-        """c's index when ``after`` is ``constraint(S, a, c)`` on the redirect's a, with a, b and c
-        bound and S naming the structural circuit alone; else None."""
-        if type(after) is ConstraintAtom and after.a == atom.a and {atom.a.index, atom.b.index, after.b.index} <= bound:
-            named = model.constraints_by_name(after.name)
-            if len(named) == 1 and named[0] is circuit:
-                return after.b.index
-        return None
-
-    def compile_redirect(atom: Redirect, bound: set, fresh: set, c=None):
+    def compile_redirect(atom: Redirect, bound: set, fresh: set):
         fresh.clear()
         if atom.a.index not in bound or atom.b.index not in bound:
             return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
-        if c is not None:
-            sc = slots[c]
-
-            def make(then):
-                def redirect_test(env, state):
-                    nonlocal remaining
-                    if remaining <= 0:
-                        raise _Truncated
-                    remaining -= 1
-                    a, b = env[sa], env[sb]
-                    position = walk_pos.get(b)
-                    if position is None or position not in domains[a - 1]:
-                        return None
-                    if remaining <= 0:  # the test's step
-                        raise _Truncated
-                    remaining -= 1
-                    if env[sc] != b or a not in walk_pos:  # walk_pos is one-to-one: walk_pos[c] == position iff c is b
-                        return None
-                    state2 = state[:]
-                    state2[a - 1] = position
-                    return then(env, state2) if then else (env, state2)
-
-                return redirect_test
-
-            return make, True
 
         def make(then):
             def redirect(env, state):
@@ -440,12 +386,17 @@ def _compile(program: Program, model: Model):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set, fresh: set, after=()):
+    def compile_iterate(atom: Iterate, bound: set, fresh: set, after):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
         walks = walks_state = None  # a marked iterate's walks from the state it last saw, by start and reads
-        join = start_bound and len(after) == 2 and type(after[0]) is Redirect
+        # redirect(a, b), constraint(S, a, c) after a walk from a bound start, a and b bound and S
+        # naming the structural circuit alone: the walk joins them if it writes c but neither a nor b
+        redirect, test = after if len(after) == 2 else (None, None)
+        join = (start_bound and type(redirect) is Redirect and type(test) is ConstraintAtom and test.a == redirect.a
+                and {redirect.a.index, redirect.b.index} <= bound and len(named := model.constraints_by_name(test.name)) == 1
+                and named[0] is circuit)
         if join:
             entry = set(bound)
         if fresh:  # an enumeration ran since the last state change: mark the walk if it reads none of what it bound
@@ -462,9 +413,8 @@ def _compile(program: Program, model: Model):
         if walks is not None or join:  # what a walk writes: what its body binds, its header and nested ones
             writes = bound - entry | {v.index for inner in (atom, *preorder(atom.body)) if type(inner) is Iterate for v in (inner.x, inner.y)}
             written = [slots[v] for v in sorted(writes)]
-        if join:  # the fused redirect and circuit test after the walk, on its c alone
-            c = circuit_test(after[0], after[1], bound)
-            join = c in writes and not {after[0].a.index, after[0].b.index} & writes
+        if join:
+            join = test.b.index in writes and not {redirect.a.index, redirect.b.index} & writes
         same = xi == yi
         steps = range(len(walk_scope))
 
@@ -517,20 +467,20 @@ def _compile(program: Program, model: Model):
             return prefixes
 
         if join:
-            sa, sb, sc = slots[after[0].a.index], slots[after[0].b.index], slots[c]
+            sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
             kept, walks = walks, None  # the stage keeps its walks itself, as indexes; ``walk`` only runs them
             kept_state = None
 
             def joined(env, state):
-                """The walk's prefixes whose c is b, each after the fuel the fused step would spend
-                rejecting the prefixes before it, and then that for the prefixes after the last."""
+                """The walk's prefixes whose c is b, each after the fuel the redirect and the test would
+                spend rejecting the prefixes before it, and then that for the prefixes after the last."""
                 nonlocal remaining, kept_state
                 if remaining <= 0:
                     raise _Truncated
                 remaining -= 1
                 a, b, start_vid = env[sa], env[sb], env[ss]
                 position = walk_pos.get(b)
-                cost = 1 if position is None or position not in domains[a - 1] else 2  # what the fused step spends rejecting a prefix
+                cost = 1 if position is None or position not in domains[a - 1] else 2  # what the redirect and the test spend rejecting a prefix
                 hit = None
                 if kept is not None:
                     if state is not kept_state:
@@ -553,7 +503,7 @@ def _compile(program: Program, model: Model):
                 done = 0
                 for k, outcome in (*index.get(b, ()), (count, None)):
                     skipped = (k - done) * cost  # each run of skipped prefixes in one subtraction
-                    if skipped > remaining:  # the fused step runs out of fuel within the run
+                    if skipped > remaining:  # the redirect or the test runs out of fuel within the run
                         remaining = 0
                         raise _Truncated
                     remaining -= skipped
@@ -580,7 +530,7 @@ def _compile(program: Program, model: Model):
 
         return iterate, False
 
-    COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect, Iterate: compile_iterate}
+    COMPILERS = {ConstraintAtom: compile_constraint, Swap: compile_swap, Redirect: compile_redirect}
 
     run = runner(compile_conj(program.body, frozenset())[0])
 

@@ -282,7 +282,6 @@ class TestDerivationKey:
             if not outcome.ok:
                 assert outcome.key is None
                 continue
-            assert len(outcome.derivation) == outcome.consumed
             text = render(outcome.program)
             assert texts.setdefault(outcome.derivation, text) == text
             assert derivations.setdefault(text, outcome.derivation) == outcome.derivation

@@ -94,7 +94,7 @@ class TestMapGenome:
         outcome = map_genome(grammar, [0] * 80)
         assert outcome.ok
         assert render(outcome.program) == "constraint(all_diff_next, t0, t0)"
-        assert outcome.consumed == 7
+        assert len(outcome.derivation) == 7
 
     def test_wrap_limit(self, tsp6):
         grammar = derive_grammar(tsp6, budget=6)
@@ -130,9 +130,9 @@ class TestMapGenome:
     def test_codons_beyond_consumed_prefix_are_silent(self, genome, data, tsp6):
         grammar = derive_grammar(tsp6, budget=6)
         outcome = map_genome(grammar, genome)
-        if not outcome.ok or outcome.consumed >= len(genome):
+        if not outcome.ok or len(outcome.derivation) >= len(genome):
             return
-        index = data.draw(st.integers(outcome.consumed, len(genome) - 1))
+        index = data.draw(st.integers(len(outcome.derivation), len(genome) - 1))
         mutated = list(genome)
         mutated[index] = (mutated[index] + 1) % 256
         assert map_genome(grammar, mutated).program == outcome.program
@@ -161,7 +161,7 @@ class TestMapperAgainstReference:
     def assert_same(grammar, genome, wrap_limit, max_depth):
         outcome = map_genome(grammar, genome, wrap_limit=wrap_limit, max_depth=max_depth)
         expected = text_map_genome(grammar, genome, wrap_limit, max_depth)
-        assert (outcome.program, outcome.consumed, outcome.invalid) == expected
+        assert (outcome.program, len(outcome.derivation), outcome.invalid) == expected
         if max_depth == DEFAULT_MAX_DEPTH:
             assert map_genome(grammar, genome, wrap_limit=wrap_limit) == outcome
             assert text_map_genome(grammar, genome, wrap_limit) == expected
@@ -182,7 +182,7 @@ class TestMapperAgainstReference:
         grammar = derive_grammar(tsp6, budget=6)
         outcome = map_genome(grammar, genome, wrap_limit=0, max_depth=100_000)
         assert outcome.ok
-        assert outcome.consumed == len(genome)
+        assert len(outcome.derivation) == len(genome)
         assert len(outcome.program.body) == 2001
 
 

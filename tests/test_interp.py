@@ -315,6 +315,8 @@ class TestUnboundOperands:
             ("swap_values(t0, t1)", 1),
             ("redirect(t0, t1)", 1),
             ("constraint(circuit, t0, t1), swap_values(t1, t2)", 4),  # the enumeration, then one per branch
+            # a walk, then a redirect from an unbound variable and a circuit test: not joined
+            ("constraint(circuit, t0, t1), iterate(t2 - t3, t1, (redirect(t3, t2))), redirect(t4, t0), constraint(circuit, t4, t3)", 22),
         ],
     )
     def test_effect_fails_its_branch(self, text, steps, circuit3):
@@ -451,10 +453,10 @@ TWO_CIRCUITS = circuit_models(("loop", ["n1", "n2", "n3", "n4"]), ("loop", ["n4"
 # a circuit in a scope order other than the variable order that walks use without a structural one
 UNSTRUCTURED = circuit_models(("ring", ["n3", "n1", "n4", "n2"]), structural=None)
 
-# (model, program): a redirect followed by a constraint test; only a test on the redirected
-# variable against the structural circuit alone runs as one step with the redirect.  After a
-# walk from a bound start that writes the test's c but neither a nor b, the walk joins them
-# (JOINED); the rest are near-misses that keep the walk apart, then the fused step
+# (model, program): a redirect followed by a constraint test.  When the test is on the
+# redirected variable against the structural circuit alone and comes after a walk from a bound
+# start that writes the test's c but neither a nor b, the walk joins them (JOINED); the rest
+# are near-misses that keep the walk apart from the redirect and the test
 REDIRECT_THEN_TEST = {
     "a beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), redirect(t0, t2), constraint(next, t0, t2)"),
     "c beside the circuit": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(not_equal, t4, t5), constraint(next, t2, t3), "
@@ -494,12 +496,14 @@ REDIRECT_THEN_TEST = {
     "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(loop, t0, t5)"),
     "walk, no structural circuit": (UNSTRUCTURED, "constraint(ring, t0, t1), constraint(ring, t2, t3), "
     "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(ring, t0, t5)"),
+    "walk, then a test on another variable": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), "
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t3, t5)"),
 }
 JOINED = {case for case in REDIRECT_THEN_TEST if case.startswith("joined")}
 
 
 def joins(program, model):
-    """Whether ``program`` compiles on ``model`` with a walk joined to the fused step after it."""
+    """Whether ``program`` compiles on ``model`` with a walk joined to the redirect and the test after it."""
     seen, todo = set(), [interp._compile(program, model)]
     while todo:
         item = todo.pop()
@@ -520,8 +524,8 @@ def joins(program, model):
 
 
 class TestRedirectThenCircuitTest:
-    """``redirect(a, b), constraint(S, a, c)`` with S the structural circuit alone decides the
-    test before the state is copied; results, truncation and steps stay the reference's."""
+    """``redirect(a, b), constraint(S, a, c)`` with S the structural circuit alone, joined to a
+    walk before it or not: results, truncation and steps stay the reference's."""
 
     def test_two_opt_on_twenty_cities(self, two_opt):
         # TestTwoOptSweep covers tsp6 and nine cities at every fuel
@@ -532,7 +536,7 @@ class TestRedirectThenCircuitTest:
         full = neighbors(two_opt, model, start).steps_used
         first = neighbors(two_opt, model, start, until=lambda values: True).steps_used
         # every fuel up to past the first neighbor: truncation lands on each step of the
-        # fused pairs before it, the redirect's and the test's, failed tests included
+        # redirects and the tests before it, failed tests included
         for fuel in [*range(first + 2), *range(first + 2, full, 997), full, full + 1]:
             assert_matches_reference(two_opt, model, start, fuel=fuel)
         for cap in (0, 1, 40, 340, 341):
@@ -570,7 +574,7 @@ class TestRedirectThenCircuitTest:
 
     def test_two_opt_joined_stages_on_twenty_cities(self, two_opt):
         # the first branch binds t0 and t2 to n1: n1's own position is outside its domain,
-        # so the fused step would spend one step on each of the walk's 19 prefixes; the
+        # so the redirect would fail on each of the walk's 19 prefixes, one step each; the
         # second binds t2 to n2, and only the prefix whose t5 is n2 passes, with two steps
         # spent on each prefix before it and after it.  Fuel runs out on each skipped run's
         # last step, on the step before it and on the step after it
@@ -586,7 +590,7 @@ class TestRedirectThenCircuitTest:
         while t5 != 2:
             t5, k = start[t5 - 1], k + 1
         before = first + 1 + 2 * walk + 2 * k  # the iterate, the kept walk and the run before n2's prefix
-        after = before + 2 + 1 + 2 * (walk - k - 1)  # the fused step, redirect(t1, t3), the run after
+        after = before + 2 + 1 + 2 * (walk - k - 1)  # the redirect and the test, redirect(t1, t3), the run after
         assert neighbors(two_opt, model, start, until=lambda values: True).steps_used == before + 3
         for boundary in (first, before, after):
             for fuel in (boundary - 1, boundary, boundary + 1):
