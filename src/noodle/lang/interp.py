@@ -82,22 +82,19 @@ body's committed choice stops at the first, so a walk step is a plain
 call, not a generator.  ``explore`` offers each new neighbor to the
 caller's ``until``, if any, and ends the whole run when it returns true.
 
-Walk reuse: a walk depends only on its entry state, its start and the
-entry values of the variables its body reads.  An iterate is marked at
-compile time when an enumerating constraint ran since the last state
-change (an effect or an iterate) and bound a variable the walk (its body
-and its start) does not read: then sibling branches of that enumeration
-reach it with the same state object and usually repeat an earlier
-walk, as 2-opt's walk from t1 does once per (t2, t3).  A marked iterate
-keeps the walks it ran from the last state object it saw, keyed on the
-start and the values read; states are never written once built, so the
-same object means the same state, and another object drops the kept
-walks.  A repeated walk spends its recorded steps in one go when the
-fuel left covers them, and its outcomes are rebuilt from the current
-bindings plus the variables the walk writes; when the fuel does not
-cover them the walk runs again, so truncation falls on the same step as
-a first run's.  Unmarked iterates keep nothing: a cache that rarely hits
-costs more than it saves.
+Walk reuse: only a joined stage keeps walks.  A walk depends only on
+its entry state, its start and the entry values of the variables its
+body reads.  The stage keeps the walks it ran from the last state object
+it saw, as indexes keyed on the start and those values; states are never
+written once built, so the same object means the same state, and another
+object drops the kept walks.  Sibling branches of an enumeration before
+the walk reach it with the same state object and repeat an earlier walk,
+as 2-opt's walk from t1 does once per (t2, t3).  A repeated walk spends
+its recorded steps in one go when the fuel left covers them, and each
+prefix it passes on is rebuilt from the current bindings plus the
+variables the walk writes; when the fuel does not cover them the walk
+runs again, so truncation falls on the same step as a first run's.  No
+other iterate keeps its walks.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -266,9 +263,9 @@ def _compile(program: Program, model: Model):
         """The compiled conjunction and the variables bound after it, memoized."""
         key = (id(atoms), bound)
         if key not in compiled:
-            live, fresh = set(bound), set()  # fresh: what enumerations bound since the last effect or iterate
+            live = set(bound)
             closures = [  # an iterate gets the two atoms after it, which may join it
-                compile_iterate(atom, live, fresh, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live, fresh)
+                compile_iterate(atom, live, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live)
                 for i, atom in enumerate(atoms)
             ]
             stages, then, length = [], None, 0  # built back to front
@@ -292,12 +289,11 @@ def _compile(program: Program, model: Model):
         remaining -= 1
         return None
 
-    def compile_constraint(atom: ConstraintAtom, bound: set, fresh: set):
+    def compile_constraint(atom: ConstraintAtom, bound: set):
         relation, holds = lookup(atom.name)
         ai, bi = atom.a.index, atom.b.index
         sa, sb = slots[ai], slots[bi]
         a_bound, b_bound = ai in bound, bi in bound
-        fresh.update({ai, bi} - bound)  # what an enumeration binds; a test binds nothing
         bound.update((ai, bi))
 
         if a_bound and b_bound:
@@ -334,8 +330,7 @@ def _compile(program: Program, model: Model):
 
         return bind, False
 
-    def compile_swap(atom: Swap, bound: set, fresh: set):
-        fresh.clear()
+    def compile_swap(atom: Swap, bound: set):
         if atom.a.index not in bound or atom.b.index not in bound:
             return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
@@ -358,8 +353,7 @@ def _compile(program: Program, model: Model):
 
         return make, True
 
-    def compile_redirect(atom: Redirect, bound: set, fresh: set):
-        fresh.clear()
+    def compile_redirect(atom: Redirect, bound: set):
         if atom.a.index not in bound or atom.b.index not in bound:
             return lambda then: fail, True
         sa, sb = slots[atom.a.index], slots[atom.b.index]
@@ -386,11 +380,10 @@ def _compile(program: Program, model: Model):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set, fresh: set, after):
+    def compile_iterate(atom: Iterate, bound: set, after):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
-        walks = walks_state = None  # a marked iterate's walks from the state it last saw, by start and reads
         # redirect(a, b), constraint(S, a, c) after a walk from a bound start, a and b bound and S
         # naming the structural circuit alone: the walk joins them if it writes c but neither a nor b
         redirect, test = after if len(after) == 2 else (None, None)
@@ -399,43 +392,20 @@ def _compile(program: Program, model: Model):
                 and named[0] is circuit)
         if join:
             entry = set(bound)
-        if fresh:  # an enumeration ran since the last state change: mark the walk if it reads none of what it bound
-            reads = variables_used(Program(atom.body)) | {si}
-            if fresh - reads:
-                walks, entry = {}, set(bound)
-                keyed = [slots[v] for v in sorted(reads & entry - {xi, yi, si})]  # entry values the body reads
-            fresh.clear()
         bound.update((xi, yi, si))
         conj, bound_later = compile_conj(atom.body, frozenset(bound))
         conj_later = compile_conj(atom.body, bound_later)[0]
         first, later = first_outcome(conj), first_outcome(conj_later)
         bound |= bound_later
-        if walks is not None or join:  # what a walk writes: what its body binds, its header and nested ones
+        if join:  # what a walk writes: what its body binds, its header and nested ones
             writes = bound - entry | {v.index for inner in (atom, *preorder(atom.body)) if type(inner) is Iterate for v in (inner.x, inner.y)}
             written = [slots[v] for v in sorted(writes)]
-        if join:
             join = test.b.index in writes and not {redirect.a.index, redirect.b.index} & writes
         same = xi == yi
         steps = range(len(walk_scope))
 
         def walk(env, state, start_vid):
-            nonlocal remaining, walks_state
-            if walks is not None:
-                if state is not walks_state:  # states are never written, so identity is equality
-                    walks.clear()
-                    walks_state = state
-                key = (start_vid, *[env[slot] for slot in keyed])
-                hit = walks.get(key)
-                if hit is not None and hit[0] <= remaining:  # a walk already run: its steps in one go
-                    remaining -= hit[0]
-                    rebuilt = []
-                    for walked, walk_state in hit[1]:
-                        env2 = env[:]
-                        for slot in written:
-                            env2[slot] = walked[slot]
-                        rebuilt.append((env2, walk_state))
-                    return rebuilt
-                entry_remaining = remaining
+            nonlocal remaining
             # Successors come from the state at entry, which effects copy, never write: the
             # structural circuit's (its domains hold only scope positions) or the canonical chain's.
             if not start_bound:
@@ -462,14 +432,13 @@ def _compile(program: Program, model: Model):
                 env, walk_state = outcome
                 prefixes.append(outcome)
                 cur, body = nxt, later
-            if walks is not None:
-                walks[key] = entry_remaining - remaining, prefixes
             return prefixes
 
         if join:
             sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
-            kept, walks = walks, None  # the stage keeps its walks itself, as indexes; ``walk`` only runs them
-            kept_state = None
+            # a walk depends only on its entry state, its start and the entry values its body reads
+            keyed = [slots[v] for v in sorted(variables_used(Program(atom.body)) & entry - {xi, yi, si})]
+            kept, kept_state = {}, None  # the walks run from the state last seen, as indexes by start and those values
 
             def joined(env, state):
                 """The walk's prefixes whose c is b, each after the fuel the redirect and the test would
@@ -481,13 +450,11 @@ def _compile(program: Program, model: Model):
                 a, b, start_vid = env[sa], env[sb], env[ss]
                 position = walk_pos.get(b)
                 cost = 1 if position is None or position not in domains[a - 1] else 2  # what the redirect and the test spend rejecting a prefix
-                hit = None
-                if kept is not None:
-                    if state is not kept_state:
-                        kept.clear()
-                        kept_state = state
-                    key = (start_vid, *[env[slot] for slot in keyed])
-                    hit = kept.get(key)
+                if state is not kept_state:  # states are never written, so identity is equality
+                    kept.clear()
+                    kept_state = state
+                key = (start_vid, *[env[slot] for slot in keyed])
+                hit = kept.get(key)
                 reused = hit is not None and hit[0] <= remaining
                 if reused:  # a walk already run: its steps in one go
                     remaining -= hit[0]
@@ -498,8 +465,7 @@ def _compile(program: Program, model: Model):
                     count, index = len(prefixes), {}  # each c value's prefixes, with their positions
                     for k, outcome in enumerate(prefixes):
                         index.setdefault(outcome[0][sc], []).append((k, outcome))
-                    if kept is not None:
-                        kept[key] = entry_remaining - remaining, count, index
+                    kept[key] = entry_remaining - remaining, count, index
                 done = 0
                 for k, outcome in (*index.get(b, ()), (count, None)):
                     skipped = (k - done) * cost  # each run of skipped prefixes in one subtraction

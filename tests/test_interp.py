@@ -475,11 +475,13 @@ REDIRECT_THEN_TEST = {
     "joined on a body binding": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t0), "
     "iterate(t3 - t4, t1, (constraint(next, t4, t5), redirect(t5, t3))), redirect(t0, t2), constraint(next, t0, t5)"),
     "joined, an effect before": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), swap_values(t1, t3), "
-    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # the walk is not kept
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # kept walks keyed on the swapped state
     "joined in an iterate body": (BESIDE_CIRCUIT, "iterate(t0 - t1, t2, (iterate(t3 - t4, t1, (redirect(t4, t3))), "
     "redirect(t0, t2), constraint(next, t0, t4)))"),  # committed choice drops the prefixes after the first that passes
     "joined, a beside the walk": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), "
     "iterate(t4 - t5, t3, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # a is x or n1
+    "joined, a nested header rebinds the start": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), "
+    "iterate(t4 - t5, t1, (iterate(t1 - t4, t5, (redirect(t4, t1))))), redirect(t0, t2), constraint(next, t0, t5), redirect(t1, t3)"),
     "joined, b's position outside a's domain": (load_model(fixture_text("tsp6.json")), "constraint(all_diff_next, t0, t1), "
     "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t0), constraint(all_diff_next, t0, t5)"),
     "a written by the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
@@ -603,11 +605,9 @@ class TestRedirectThenCircuitTest:
 # (model, the name its constraints go by)
 REUSE_MODELS = [(load_model(fixture_text("tsp6.json")), "all_diff_next"), (ALL_DIFFERENT5, "all_different"), (SHARED_NAME5, "link")]
 
-# an iterate is marked for reuse when an enumeration ran since the last effect or
-# iterate and bound a variable the walk (its body and its start) does not read; a
-# repeated walk's prefixes are rebuilt from the current bindings plus the variables the
-# walk writes, which may come before others (the header rebinds an enumerated variable) and
-# include the variables a nested walk's header rebinds
+# walks after enumerations, effects, tests and other walks, none joined to a redirect and a
+# test after them, so each runs afresh on every branch that reaches it: headers that rebind
+# an entry variable and nested headers included
 WALK_REUSE = {
     "bound start": "constraint({n}, t0, t1), constraint({n}, t2, t3), iterate(t4 - t5, t1, (swap_values(t4, t5))), swap_values(t0, t2)",
     "header rebinds an enumerated variable": "constraint({n}, t0, t1), constraint({n}, t2, t3), "
@@ -631,7 +631,7 @@ WALK_REUSE = {
 
 
 class TestWalkReuse:
-    """Each shape of the reuse rule, marked or not, stays the reference's at every fuel and cap."""
+    """Walks that are not joined, and so not kept, stay the reference's at every fuel and cap."""
 
     @pytest.mark.parametrize("model, name", REUSE_MODELS, ids=lambda value: getattr(value, "name", None))
     @pytest.mark.parametrize("shape", WALK_REUSE)
