@@ -155,8 +155,9 @@ def evaluate_fitness(
     ``preserved`` counts the model's constraint kinds that `violations`
     names for no inspected neighbor, ``productivity`` the smallest
     per-sample count of feasible neighbors (those it names no kind for),
-    capped at ``cap``, and ``size_penalty`` the optimized program's atom
-    count.  Samples that share a run (see the module docstring) run once.
+    at most ``cap`` since a run keeps no more, and ``size_penalty`` the
+    optimized program's atom count.  Samples that share a run (see the
+    module docstring) run once.
 
     Neighbors are scored as the interpreter finds them.  With
     ``notes=False`` a run stops once it is settled: it has found a
@@ -179,7 +180,6 @@ def evaluate_fitness(
     broken: set[str] = set()
     productivity = None
     noted: tuple[str, ...] = ()  # ("TRUNCATED",) once a run truncates; stays empty with notes=False
-    ran: list[Assignment] = []
     share_tours = diagnostics.label_free and model.symmetric
     tour_ran = False  # whether a run on a tour completed
     stop, every = not notes, len(kinds)
@@ -197,9 +197,7 @@ def evaluate_fitness(
         stopped = stop and feasible >= bound and len(broken) == every
         return stopped
 
-    for sample in samples:
-        if sample in ran:
-            continue
+    for sample in dict.fromkeys(samples):  # equal samples share one run
         tour = False
         if share_tours:
             model.validate_assignment(sample)  # before satisfied, which would index past a short sample
@@ -207,9 +205,9 @@ def evaluate_fitness(
             if tour and tour_ran:
                 continue
         feasible, stopped = 0, False
-        bound = cap if productivity is None else min(cap, productivity)
+        # a run keeps at most cap neighbors and feasible counts only kept ones, so no count exceeds cap
+        bound = cap if productivity is None else productivity
         result = neighbors(optimized, model, sample, fuel=fuel, cap=cap, until=settled)
-        ran.append(sample)
         tour_ran = tour_ran or tour and not result.truncated and not stopped
         if notes and result.truncated:
             noted = ("TRUNCATED",)
@@ -219,7 +217,7 @@ def evaluate_fitness(
     return Fitness(
         tier="VALID",
         preserved=len(kinds - broken),
-        productivity=min(productivity, cap),
+        productivity=productivity,
         size_penalty=size,
         notes=noted,
     )

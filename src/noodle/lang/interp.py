@@ -80,7 +80,7 @@ only iterate nesting does, and the parser bounds that.  The loop hands
 each outcome to a callback: ``explore`` collects them all, and an iterate
 body's committed choice stops at the first, so a walk step is a plain
 call, not a generator.  ``explore`` offers each new neighbor to the
-caller's ``until``, if any, and ends the whole run when it returns true.
+caller's ``until``, if any; a true answer accepts it and ends the run.
 
 Walk reuse: only a joined stage keeps walks.  A walk depends only on
 its entry state, its start and the entry values of the variables its
@@ -90,11 +90,11 @@ written once built, so the same object means the same state, and another
 object drops the kept walks.  Sibling branches of an enumeration before
 the walk reach it with the same state object and repeat an earlier walk,
 as 2-opt's walk from t1 does once per (t2, t3).  A repeated walk spends
-its recorded steps in one go when the fuel left covers them, and each
-prefix it passes on is rebuilt from the current bindings plus the
-variables the walk writes; when the fuel does not cover them the walk
-runs again, so truncation falls on the same step as a first run's.  No
-other iterate keeps its walks.
+its recorded steps in one go; when the fuel left does not cover them,
+``remaining`` drops to 0 and the run truncates, since a walk's steps
+depend only on its key and a re-run would stop at 0 within them.  Every
+prefix the stage passes on is rebuilt from the current bindings plus the
+variables the walk writes.  No other iterate keeps its walks.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -127,10 +127,6 @@ class NeighborSet:
 
 
 class _Truncated(Exception):
-    pass
-
-
-class _Stopped(Exception):
     pass
 
 
@@ -455,31 +451,31 @@ def _compile(program: Program, model: Model):
                     kept_state = state
                 key = (start_vid, *[env[slot] for slot in keyed])
                 hit = kept.get(key)
-                reused = hit is not None and hit[0] <= remaining
-                if reused:  # a walk already run: its steps in one go
-                    remaining -= hit[0]
-                    _, count, index = hit
-                else:
+                if hit is None:
                     entry_remaining = remaining
                     prefixes = walk(env, state, start_vid)
-                    count, index = len(prefixes), {}  # each c value's prefixes, with their positions
-                    for k, outcome in enumerate(prefixes):
-                        index.setdefault(outcome[0][sc], []).append((k, outcome))
-                    kept[key] = entry_remaining - remaining, count, index
+                    index = {}  # each c value's prefixes, with their positions
+                    for k, (walked, walk_state) in enumerate(prefixes):
+                        index.setdefault(walked[sc], []).append((k, walked, walk_state))
+                    kept[key] = hit = entry_remaining - remaining, len(prefixes), index
+                elif hit[0] > remaining:  # its steps depend only on the key: a re-run would stop at 0 within them
+                    remaining = 0
+                    raise _Truncated
+                else:  # a walk already run: its steps in one go
+                    remaining -= hit[0]
+                _, count, index = hit
                 done = 0
-                for k, outcome in (*index.get(b, ()), (count, None)):
+                for k, walked, walk_state in (*index.get(b, ()), (count, None, None)):
                     skipped = (k - done) * cost  # each run of skipped prefixes in one subtraction
                     if skipped > remaining:  # the redirect or the test runs out of fuel within the run
                         remaining = 0
                         raise _Truncated
                     remaining -= skipped
-                    if outcome is None:
+                    if walked is None:
                         return
-                    if reused:  # rebuilt from the current bindings plus what the walk writes
-                        walked, walk_state = outcome
-                        outcome = env[:], walk_state
-                        for slot in written:
-                            outcome[0][slot] = walked[slot]
+                    outcome = env[:], walk_state  # the current bindings plus what the walk writes
+                    for slot in written:
+                        outcome[0][slot] = walked[slot]
                     done = k + 1
                     yield outcome
 
@@ -505,22 +501,19 @@ def _compile(program: Program, model: Model):
         remaining = fuel
         results: set[tuple[int, ...]] = set()
 
-        def keep(env, state) -> None:
+        def keep(env, state):  # a true answer ends the run: the runner returns at the first outcome emit accepts
             candidate = tuple(state)
             if candidate != start_values and candidate not in results:
                 if len(results) >= cap:
                     raise _Truncated
                 results.add(candidate)
-                if until is not None and until(candidate):
-                    raise _Stopped
+                return until is not None and until(candidate)
 
         truncated = False
         try:
             run([None] * len(slots), list(start_values), keep)
         except _Truncated:
             truncated = True
-        except _Stopped:
-            pass
         return NeighborSet(tuple(sorted(results)), truncated, fuel - remaining)
 
     return explore

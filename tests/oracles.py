@@ -204,8 +204,7 @@ class _CapReached(Exception):
 class _Context:
     """Per-call lookup tables; the model itself is never mutated."""
 
-    def __init__(self, model: Model, reverse_pairs: bool):
-        self.reverse_pairs = reverse_pairs
+    def __init__(self, model: Model):
         self.domains = [v.domain for v in model.variables]
         names = {name for c in model.constraints for name in c.names}
         self.by_name = {name: model.constraints_by_name(name) for name in names}
@@ -220,7 +219,7 @@ class _Context:
             pairs = constraints[0].pairs(state)
         else:
             pairs = {p for c in constraints for p in c.pairs(state)}
-        return sorted(pairs, reverse=self.reverse_pairs)
+        return sorted(pairs)
 
     def walk_successors(self, state: list[int]) -> dict[int, int]:
         """Snapshot successor map for iterate.
@@ -240,16 +239,18 @@ def reference_neighbors(
     start: Assignment,
     fuel: int = DEFAULT_FUEL,
     cap: int = DEFAULT_CAP,
-    _reverse_pairs: bool = False,
+    until=None,
 ) -> NeighborSet:
     """Materialize the neighborhood of ``start`` under ``program``.
 
     Callers are expected to have run the analyzer first; programs that
     slipped past it (unbound effect operands at run time) simply fail
-    their branches.  ``start`` is never mutated.
+    their branches.  ``start`` is never mutated.  ``until`` is called on
+    each new neighbor once it is kept, and a true answer ends the run
+    untruncated, as in ``neighbors``.
     """
     model.validate_assignment(start)
-    ctx = _Context(model, _reverse_pairs)
+    ctx = _Context(model)
     start_values = tuple(start)
     results: set[tuple[int, ...]] = set()
     truncated = False
@@ -358,6 +359,8 @@ def reference_neighbors(
             if len(results) >= cap:
                 raise _CapReached
             results.add(candidate)
+            if until is not None and until(candidate):
+                return
 
     try:
         explore()

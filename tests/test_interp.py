@@ -423,7 +423,7 @@ def successor_model(cities):
 
 class TestTwoOptSweep:
     """2-opt walks the tour from t1 once per (t2, t3) branch and reuses the walk: one fuel deduction
-    per reused walk where the fuel left covers it, a re-run that truncates on the same step where not."""
+    per reused walk where the fuel left covers it, truncation with no fuel left where not."""
 
     @pytest.mark.parametrize("cities", [6, 9])
     def test_every_fuel_and_cap(self, cities, two_opt, tsp6):
@@ -639,6 +639,81 @@ class TestWalkReuse:
         program = parse(WALK_REUSE[shape].format(n=name))
         for seed in range(2):
             assert_every_fuel_and_cap(program, model, random_start(model, seed))
+
+
+FUZZ_MODELS = (BESIDE_CIRCUIT, TWO_CIRCUITS, load_model(fixture_text("tsp6.json")), load_model(fixture_text("tsp6_full.json")))
+FUZZ_VARIABLES = [f"t{i}" for i in range(7)]
+
+
+@st.composite
+def walk_then_test(draw):
+    """(model, NDL text): enumerations, a walk from a bound start, ``redirect(a, b), constraint(S, a, c)``
+    and an optional tail, with a, b and the start bound by the enumerations.  Each variable mostly
+    keeps its role (enumerated, header or free) and each operand is mostly one bound where it stands,
+    c mostly one the walk writes, so that most cases join; the rest are near-misses."""
+    model = draw(st.sampled_from(FUZZ_MODELS))
+    name = st.sampled_from(sorted({name for c in model.constraints for name in c.names}))
+    var = st.sampled_from(FUZZ_VARIABLES)
+    roles = draw(st.permutations(FUZZ_VARIABLES))
+
+    def pick(among):
+        return draw(var) if draw(st.integers(0, 3)) == 3 or not among else draw(st.sampled_from(sorted(among)))
+
+    enumerations = [(roles[0], roles[1]), (pick({roles[2]}), pick({roles[3]}))][:draw(st.integers(1, 2))]
+    entry = {v for pair in enumerations for v in pair}
+
+    def body(bound, depth):  # swaps, redirects, constraints and walks nested at most two deep inside the first
+        atoms = []
+        for head in draw(st.lists(st.sampled_from(("iterate", "swap_values", "redirect", "constraint")[depth > 1:]), min_size=1, max_size=3)):
+            if head == "iterate":
+                x, y, start = pick(entry), pick(bound), pick(bound)  # mostly a header that rebinds an enumerated variable
+                bound |= {x, y, start}
+                atoms.append(f"iterate({x} - {y}, {start}, ({body(bound, depth + 1)}))")
+            elif head == "constraint":
+                u, v = pick(bound), pick(bound)
+                bound |= {u, v}
+                atoms.append(f"constraint({draw(name)}, {u}, {v})")
+            else:
+                atoms.append(f"{head}({pick(bound)}, {pick(bound)})")
+        return ", ".join(atoms)
+
+    x, y = pick({roles[4]}), pick({roles[5]})
+    bound = entry | {x, y}
+    walk = f"iterate({x} - {y}, {pick(set(enumerations[0]))}, ({body(bound, 0)}))"
+    a = pick(entry)
+    atoms = [f"constraint({draw(name)}, {u}, {v})" for u, v in enumerations] + [
+        walk, f"redirect({a}, {pick(entry)})", f"constraint({draw(name)}, {a}, {pick(bound - entry | {x, y})})"]
+    if draw(st.booleans()):
+        atoms.append(f"{draw(st.sampled_from(('swap_values', 'redirect')))}({pick(entry)}, {pick(bound)})")
+    return model, ", ".join(atoms)
+
+
+def stop_at(k):
+    """An ``until`` that ends the run at the k-th new neighbor."""
+    seen = []
+    return lambda values: seen.append(values) or len(seen) == k
+
+
+class TestJoinedShapes:
+    """A differential fuzz over walks that may join the redirect and the test after them: nested
+    headers, rebound enumerated variables, and bodies that bind or read what the join reads."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=walk_then_test(), seed=st.integers(0, 1000), fuel=st.integers(0, 5000), cap=st.integers(0, 60), k=st.integers(1, 20))
+    def test_matches_reference(self, case, seed, fuel, cap, k):
+        model, text = case
+        program = parse(text)
+        start = random_start(model, seed)
+        full = neighbors(program, model, start).steps_used
+        fuel %= full + 2  # any fuel up to one past a full run, each as likely
+        # and the fuels that run out on a full run's last two steps, where a repeated walk
+        # that is the run's last work decides alone whether the run truncates
+        for last in (full - 1, full):
+            assert_matches_reference(program, model, start, fuel=max(last, 0))
+        assert_matches_reference(program, model, start, fuel=fuel, cap=cap)
+        ours = neighbors(program, model, start, fuel=fuel, cap=cap, until=stop_at(k))
+        ref = reference_neighbors(program, model, start, fuel=fuel, cap=cap, until=stop_at(k))
+        assert (ours.assignments, ours.truncated, ours.steps_used) == (ref.assignments, ref.truncated, ref.steps_used)
 
 
 class TestStopHook:

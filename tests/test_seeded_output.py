@@ -5,7 +5,10 @@ digest a test: solve-tsp20 runs the hill climber, synth-color12 and
 synth-tsp6 the evolution loop and its fitness memo (a wrong memo key has
 moved only the synth-tsp6 digest).  They build the inputs
 with perfbench's own workload code (read, never edited) and run the same
-calls the benchmark times.
+calls the benchmark times.  The same runs total what the ``neighbors``
+calls of fitness and of the hill climber return, as perfbench's traced
+run counts them, so a change that claims to keep every traced count
+shows it here.
 """
 
 import contextlib
@@ -14,10 +17,19 @@ import json
 import sys
 
 import noodle
+import noodle.evolution
+import noodle.search
 
 from tests.conftest import ROOT
 
 PERFBENCH = ROOT / "perfbench"
+
+# per workload, over its neighbors calls: calls, steps, neighbors returned, truncated calls
+NEIGHBORS_TOTALS = {
+    "solve-tsp20": (110, 3_388_110, 37_510, 0),
+    "synth-color12": (2_235, 1_104_380, 28_735, 16),
+    "synth-tsp6": (10_448, 1_912_680, 59_033, 0),
+}
 
 
 def perfbench_workloads():
@@ -33,22 +45,33 @@ class NoSpans:
         return contextlib.nullcontext()
 
 
-def assert_digest_matches_expected(name: str):
+def assert_digest_matches_expected(name: str, monkeypatch):
+    totals = [0, 0, 0, 0]
+    for module in (noodle.evolution, noodle.search):  # the names their callers look neighbors up by
+
+        def counted(*args, run=module.neighbors, **kwargs):
+            result = run(*args, **kwargs)
+            for i, value in enumerate((1, result.steps_used, len(result), result.truncated)):
+                totals[i] += value
+            return result
+
+        monkeypatch.setattr(module, "neighbors", counted)
     workloads = perfbench_workloads()
     workload = workloads.WORKLOADS[name]
     prepared = workload.prepare(noodle, ROOT)
     outputs = [workload.call(noodle, prepared, i, NoSpans()) for i in range(len(prepared.configs))]
     expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["outputs"][name]
     assert workloads.sha256("".join(outputs)) == expected
+    assert tuple(totals) == NEIGHBORS_TOTALS[name]
 
 
-def test_solve_tsp20_digest_matches_expected():
-    assert_digest_matches_expected("solve-tsp20")
+def test_solve_tsp20_digest_matches_expected(monkeypatch):
+    assert_digest_matches_expected("solve-tsp20", monkeypatch)
 
 
-def test_synth_color12_digest_matches_expected():
-    assert_digest_matches_expected("synth-color12")
+def test_synth_color12_digest_matches_expected(monkeypatch):
+    assert_digest_matches_expected("synth-color12", monkeypatch)
 
 
-def test_synth_tsp6_digest_matches_expected():
-    assert_digest_matches_expected("synth-tsp6")
+def test_synth_tsp6_digest_matches_expected(monkeypatch):
+    assert_digest_matches_expected("synth-tsp6", monkeypatch)
