@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Count the bytecodes and Python calls that the interpreter runs per fuel
-step, and that fitness evaluation runs per call.
+"""Count the bytecodes, Python calls and generator stages that the interpreter
+runs per fuel step, and the bytecodes that fitness evaluation runs per call.
 
 Everything inside each traced call is counted with ``sys.settrace``
 opcode events, on fixed inputs:
@@ -20,11 +20,17 @@ opcode events, on fixed inputs:
 
 Unlike timings, the counts do not move with the machine's load, so they
 show what a change to the interpreter or to fitness evaluation saves.
-Calls include generator resumptions.  Prints one JSON object.
+Calls include generator resumptions.  Generators count each generator the
+interpreter's own code starts: its enumerations, joined walks and walks from
+an unbound start, each one per branch that reaches it, and the ``any`` over
+the tests of a name that covers several constraints.  Prints one JSON object.
 
     python3 scripts/count_bytecodes.py
 """
 
+import dis
+import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -38,15 +44,25 @@ from perfbench.workloads import COLOR_INSTANCE_SEED, SOLVE_SEARCH_SEED, TSP_INST
 INTERP = str(Path("lang") / "interp.py")
 
 
+@functools.cache
+def first_resume(code):
+    """The offset at which a generator of ``code`` first runs: its 'call' event there starts it."""
+    return next(i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+
+
 def counted(run, name, source, calls=None):
-    """Calls, fuel steps, bytecodes and Python calls inside the first ``calls`` calls of the
-    function ``name`` defined in a file ending in ``source`` that ``run()`` makes (all if None)."""
-    counts = {"calls": 0, "steps": 0, "call": 0, "opcode": 0}
+    """Calls, fuel steps, bytecodes, Python calls and interpreter generators started inside the first
+    ``calls`` calls of the function ``name`` defined in a file ending in ``source`` that ``run()``
+    makes (all if None)."""
+    counts = {"calls": 0, "steps": 0, "call": 0, "opcode": 0, "generators": 0}
     inside = []  # the frame being counted
 
     def trace(frame, event, arg):
         if inside:
             counts[event] = counts.get(event, 0) + 1
+            code = frame.f_code
+            if event == "call" and code.co_flags & inspect.CO_GENERATOR and code.co_filename.endswith(INTERP) and frame.f_lasti == first_resume(code):
+                counts["generators"] += 1
             if event == "return" and frame is inside[0]:
                 counts["steps"] += getattr(arg, "steps_used", 0)
                 inside.pop()
@@ -69,8 +85,8 @@ def counted(run, name, source, calls=None):
 
 def per_step(counts):
     steps = counts["steps"]
-    return {"neighbors_calls": counts["calls"], "steps": steps,
-            "bytecodes_per_step": counts["opcode"] / steps, "calls_per_step": counts["call"] / steps}
+    return {"neighbors_calls": counts["calls"], "steps": steps, "bytecodes_per_step": counts["opcode"] / steps,
+            "calls_per_step": counts["call"] / steps, "generators": counts["generators"], "generators_per_step": counts["generators"] / steps}
 
 
 def per_fitness_call(counts):

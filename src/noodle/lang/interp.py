@@ -59,17 +59,29 @@ redirect has just set ``values[a-1]`` to ``walk_pos[b]``, and
 test.  The joined stage keeps, beside each walk it runs, an index from
 c's value in each prefix to that prefix's positions (a list: on a state
 that is not a permutation the walk can repeat a value), and yields only
-the prefixes listed under b, rebuilding just those from a reused walk;
-the redirect and the test still run on each of them.  Every prefix it
-skips is charged what those two atoms would have spent rejecting it:
-one step when b's position is outside a's domain (the redirect fails
-its domain check), else two (the redirect copies the state, then the
-test fails).  a, b and the domain test are the same for every prefix of
-one walk, so each run of skipped prefixes is one subtraction, and when
-the fuel left does not cover a run, ``remaining`` drops to 0 and the run
-truncates: step by step it would have stopped at 0 within that run too,
-so neighbors, truncation and ``steps_used`` are unchanged.  In 2-opt
-this passes on one prefix per (t2, t3) branch, not ~19.
+the prefixes listed under b; the redirect and the test still run on each
+of them.  Every prefix it skips is charged what those two atoms would have
+spent rejecting it: one step when b's position is outside a's domain (the
+redirect fails its domain check), else two (the redirect copies the
+state, then the test fails).
+
+An enumeration ``constraint(S', u, v)`` of two distinct unbound variables
+directly before a joined walk is absorbed into the joined stage when u
+and v are none of the walk's start, the entry values its body reads and
+a: then one walk and one a serve every pair, and b is u, v or neither.
+The stage charges the enumeration's step, takes the sorted relation once
+per state object and looks the walk up once; then, for each pair in
+relation order, it charges what a stage per pair would: the iterate's
+step, the walk (run on first use, else its recorded steps) and the
+skipped prefixes.  Without an absorbed enumeration it makes that one pass
+for the incoming bindings.  The charges between two prefixes passed on
+are summed into one subtraction, and when the fuel left does not cover
+the sum, ``remaining`` drops to 0 and the run truncates: step by step,
+each charge c fails iff c exceeds the fuel left and leaves 0 behind, and
+nothing observable (an emit, ``until`` or the cap) happens between them,
+so neighbors, truncation and ``steps_used`` are unchanged.  Only a prefix
+passed on copies the bindings.  In 2-opt this makes one stage per
+(t0, t1), passing on one prefix per (t2, t3), not ~19.
 
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
@@ -87,14 +99,13 @@ its entry state, its start and the entry values of the variables its
 body reads.  The stage keeps the walks it ran from the last state object
 it saw, as indexes keyed on the start and those values; states are never
 written once built, so the same object means the same state, and another
-object drops the kept walks.  Sibling branches of an enumeration before
-the walk reach it with the same state object and repeat an earlier walk,
-as 2-opt's walk from t1 does once per (t2, t3).  A repeated walk spends
-its recorded steps in one go; when the fuel left does not cover them,
-``remaining`` drops to 0 and the run truncates, since a walk's steps
-depend only on its key and a re-run would stop at 0 within them.  Every
-prefix the stage passes on is rebuilt from the current bindings plus the
-variables the walk writes.  No other iterate keeps its walks.
+object drops the kept walks and the relation taken beside them.
+Sibling branches of an enumeration before the walk reach it with the
+same state object and repeat an earlier walk, as the pairs of an absorbed
+enumeration do.  A repeated walk spends its recorded steps, since a
+walk's steps depend only on its key.  Every prefix the stage passes on
+is rebuilt from the current bindings plus the pair and the variables the
+walk writes.  No other iterate keeps its walks.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -175,6 +186,7 @@ def _compile(program: Program, model: Model):
     remaining = 0
     by_name: dict[str, tuple] = {}  # name -> (relation, holds)
     compiled: dict[tuple, tuple] = {}  # (id(atoms), bound set) -> (conjunction, bound set after)
+    enumerated = (None,)  # (closure, a, b, relation) of the last enumeration of two distinct unbound variables
 
     def lookup(name: str):
         """The relation (state -> sorted pairs) and the point test a name denotes."""
@@ -259,11 +271,9 @@ def _compile(program: Program, model: Model):
         """The compiled conjunction and the variables bound after it, memoized."""
         key = (id(atoms), bound)
         if key not in compiled:
-            live = set(bound)
-            closures = [  # an iterate gets the two atoms after it, which may join it
-                compile_iterate(atom, live, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live)
-                for i, atom in enumerate(atoms)
-            ]
+            live, closures = set(bound), []
+            for i, atom in enumerate(atoms):  # an iterate gets the closures so far, whose last it may absorb, and the two atoms after it, which may join it
+                closures.append(compile_iterate(atom, live, closures, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live))
             stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
                 if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
@@ -277,6 +287,14 @@ def _compile(program: Program, model: Model):
             compiled[key] = (then, tuple(reversed(stages))), frozenset(live)
         return compiled[key]
 
+    def spend(cost):
+        """Charge ``cost`` steps in one go: one at a time, they would run out at the same point."""
+        nonlocal remaining
+        if cost > remaining:
+            remaining = 0
+            raise _Truncated
+        remaining -= cost
+
     def fail(env, state):
         """An effect with an operand the analyzer missed unbound: it spends its step and fails."""
         nonlocal remaining
@@ -286,6 +304,7 @@ def _compile(program: Program, model: Model):
         return None
 
     def compile_constraint(atom: ConstraintAtom, bound: set):
+        nonlocal enumerated
         relation, holds = lookup(atom.name)
         ai, bi = atom.a.index, atom.b.index
         sa, sb = slots[ai], slots[bi]
@@ -324,6 +343,8 @@ def _compile(program: Program, model: Model):
                     env2[sb] = v
                     yield env2, state
 
+        if not (a_bound or b_bound or same):  # a joined walk right after it may absorb it
+            enumerated = bind, ai, bi, relation
         return bind, False
 
     def compile_swap(atom: Swap, bound: set):
@@ -376,7 +397,8 @@ def _compile(program: Program, model: Model):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set, after):
+    def compile_iterate(atom: Iterate, bound: set, closures, after):
+        before = enumerated if closures and closures[-1][0] is enumerated[0] else None  # read before the body's compile moves it
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
@@ -433,51 +455,58 @@ def _compile(program: Program, model: Model):
         if join:
             sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
             # a walk depends only on its entry state, its start and the entry values its body reads
-            keyed = [slots[v] for v in sorted(variables_used(Program(atom.body)) & entry - {xi, yi, si})]
-            kept, kept_state = {}, None  # the walks run from the state last seen, as indexes by start and those values
+            read = variables_used(Program(atom.body)) & entry - {xi, yi, si}
+            keyed = [slots[v] for v in sorted(read)]
+            # the enumeration just before, absorbed when it binds none of those and not a:
+            # then one walk, and one a, serve every pair
+            _, ui, vi, relation = before or (None,) * 4
+            absorbs = ui is not None and not {ui, vi} & (read | {si, redirect.a.index})
+            at = (ui, vi, redirect.b.index).index(redirect.b.index) if absorbs else 2  # b is the pair's u, its v or neither
+            if absorbs:
+                closures.pop()
+                su, sv = slots[ui], slots[vi]
+            # the walks run from the state last seen, as indexes by start and those values, and its relation
+            kept, kept_state, pairs = {}, None, ((None, None),)
 
             def joined(env, state):
-                """The walk's prefixes whose c is b, each after the fuel the redirect and the test would
-                spend rejecting the prefixes before it, and then that for the prefixes after the last."""
-                nonlocal remaining, kept_state
-                if remaining <= 0:
-                    raise _Truncated
-                remaining -= 1
-                a, b, start_vid = env[sa], env[sb], env[ss]
-                position = walk_pos.get(b)
-                cost = 1 if position is None or position not in domains[a - 1] else 2  # what the redirect and the test spend rejecting a prefix
+                """For each pair the absorbed enumeration binds, or once: the walk's prefixes whose c is b,
+                each after the fuel spent since the last one passed on, and then that for the rest."""
+                nonlocal remaining, kept_state, pairs
                 if state is not kept_state:  # states are never written, so identity is equality
                     kept.clear()
                     kept_state = state
-                key = (start_vid, *[env[slot] for slot in keyed])
+                    if absorbs:
+                        pairs = relation(state)
+                key = (env[ss], *[env[slot] for slot in keyed])
                 hit = kept.get(key)
-                if hit is None:
-                    entry_remaining = remaining
-                    prefixes = walk(env, state, start_vid)
-                    index = {}  # each c value's prefixes, with their positions
-                    for k, (walked, walk_state) in enumerate(prefixes):
-                        index.setdefault(walked[sc], []).append((k, walked, walk_state))
-                    kept[key] = hit = entry_remaining - remaining, len(prefixes), index
-                elif hit[0] > remaining:  # its steps depend only on the key: a re-run would stop at 0 within them
-                    remaining = 0
-                    raise _Truncated
-                else:  # a walk already run: its steps in one go
-                    remaining -= hit[0]
-                _, count, index = hit
-                done = 0
-                for k, walked, walk_state in (*index.get(b, ()), (count, None, None)):
-                    skipped = (k - done) * cost  # each run of skipped prefixes in one subtraction
-                    if skipped > remaining:  # the redirect or the test runs out of fuel within the run
-                        remaining = 0
-                        raise _Truncated
-                    remaining -= skipped
-                    if walked is None:
-                        return
-                    outcome = env[:], walk_state  # the current bindings plus what the walk writes
-                    for slot in written:
-                        outcome[0][slot] = walked[slot]
-                    done = k + 1
-                    yield outcome
+                domain = domains[env[sa] - 1]
+                due = 1 if absorbs else 0  # the fuel spent since the last prefix passed on: the enumeration's step
+                for pair in pairs:
+                    b = pair[at] if at < 2 else env[sb]
+                    position = walk_pos.get(b)
+                    cost = 1 if position is None or position not in domain else 2  # what the redirect and the test spend rejecting a prefix
+                    if hit is None:  # the iterate's step, then the walk
+                        spend(due + 1)
+                        entry_remaining, due = remaining, 0
+                        prefixes = walk(env, state, env[ss])
+                        index = {}  # each c value's prefixes, with their positions
+                        for k, (walked, walk_state) in enumerate(prefixes):
+                            index.setdefault(walked[sc], []).append((k, walked, walk_state))
+                        kept[key] = hit = entry_remaining - remaining, len(prefixes), index
+                    else:  # the iterate's step and a walk already run: its steps depend only on the key
+                        due += 1 + hit[0]
+                    done = 0
+                    for k, walked, walk_state in hit[2].get(b, ()):
+                        spend(due + (k - done) * cost)
+                        due, done = 0, k + 1
+                        outcome = env[:], walk_state  # the current bindings plus the pair and what the walk writes
+                        if absorbs:
+                            outcome[0][su], outcome[0][sv] = pair
+                        for slot in written:
+                            outcome[0][slot] = walked[slot]
+                        yield outcome
+                    due += (hit[1] - done) * cost
+                spend(due)
 
             return joined, False
 
