@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=EvolutionConfig.var_budget)
     p.add_argument("--out", help="write the best operator's NDL text here")
     p.add_argument("--report", help="write the report JSON here as well as stdout")
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--strict", action="store_true", help="exit 1 when a generation's best program has a TRUNCATED note")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("solve", help="hill-climb with restarts using an operator")
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=SearchConfig.max_steps)
     p.add_argument("--cap", type=int, default=SearchConfig.neighbor_cap)
     p.add_argument("--fuel", type=int, default=SearchConfig.fuel)
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--strict", action="store_true", help="exit 1 when any neighborhood was truncated")
     p.set_defaults(func=cmd_solve)
 
     return parser

@@ -56,7 +56,7 @@ b.  The circuit's ``holds(values, a, c)`` is ``a in positions and
 values[a-1] == positions[c]``, its positions are ``walk_pos``, the
 redirect has just set ``values[a-1]`` to ``walk_pos[b]``, and
 ``walk_pos`` is one-to-one, so only a prefix whose c is b can pass the
-test.  The joined stage keeps, beside each walk it runs, an index from
+test.  The joined stage builds, beside the walk it runs, an index from
 c's value in each prefix to that prefix's positions (a list: on a state
 that is not a permutation the walk can repeat a value), and yields only
 the prefixes listed under b; the redirect and the test still run on each
@@ -69,18 +69,18 @@ An enumeration ``constraint(S', u, v)`` of two distinct unbound variables
 directly before a joined walk is absorbed into the joined stage when u
 and v are none of the walk's start, the entry values its body reads and
 a: then one walk and one a serve every pair, and b is u, v or neither.
-The stage charges the enumeration's step, takes the sorted relation once
-per state object and looks the walk up once; then, for each pair in
-relation order, it charges what a stage per pair would: the iterate's
-step, the walk (run on first use, else its recorded steps) and the
-skipped prefixes.  Without an absorbed enumeration it makes that one pass
-for the incoming bindings.  The charges between two prefixes passed on
-are summed into one subtraction, and when the fuel left does not cover
-the sum, ``remaining`` drops to 0 and the run truncates: step by step,
-each charge c fails iff c exceeds the fuel left and leaves 0 behind, and
+The stage charges the enumeration's step and takes the sorted relation
+once per state object; then, for each pair in relation order, it charges
+what a stage per pair would: the iterate's step, the walk (run for the
+first pair, its recorded steps for the rest) and the skipped prefixes.
+Without an absorbed enumeration it makes that one pass for the incoming
+bindings.  The charges between two prefixes passed on are summed into
+one subtraction, and when the fuel left does not cover the sum,
+``remaining`` drops to 0 and the run truncates: step by step, each
+charge c fails iff c exceeds the fuel left and leaves 0 behind, and
 nothing observable (an emit, ``until`` or the cap) happens between them,
-so neighbors, truncation and ``steps_used`` are unchanged.  Only a prefix
-passed on copies the bindings.  In 2-opt this makes one stage per
+so neighbors, truncation and ``steps_used`` are unchanged.  Only a
+prefix passed on copies the bindings.  In 2-opt this makes one stage per
 (t0, t1), passing on one prefix per (t2, t3), not ~19.
 
 A conjunction runs as one depth-first loop over a stack holding an
@@ -94,18 +94,7 @@ body's committed choice stops at the first, so a walk step is a plain
 call, not a generator.  ``explore`` offers each new neighbor to the
 caller's ``until``, if any; a true answer accepts it and ends the run.
 
-Walk reuse: only a joined stage keeps walks.  A walk depends only on
-its entry state, its start and the entry values of the variables its
-body reads.  The stage keeps the walks it ran from the last state object
-it saw, as indexes keyed on the start and those values; states are never
-written once built, so the same object means the same state, and another
-object drops the kept walks and the relation taken beside them.
-Sibling branches of an enumeration before the walk reach it with the
-same state object and repeat an earlier walk, as the pairs of an absorbed
-enumeration do.  A repeated walk spends its recorded steps, since a
-walk's steps depend only on its key.  Every prefix the stage passes on
-is rebuilt from the current bindings plus the pair and the variables the
-walk writes.  No other iterate keeps its walks.
+No walk outlives the stage call that ran it.
 
 Totality: every branch point is finite (relations have at most n^2
 pairs, walks at most group-size steps) and programs are finite, so the
@@ -456,7 +445,6 @@ def _compile(program: Program, model: Model):
             sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
             # a walk depends only on its entry state, its start and the entry values its body reads
             read = variables_used(Program(atom.body)) & entry - {xi, yi, si}
-            keyed = [slots[v] for v in sorted(read)]
             # the enumeration just before, absorbed when it binds none of those and not a:
             # then one walk, and one a, serve every pair
             _, ui, vi, relation = before or (None,) * 4
@@ -465,38 +453,33 @@ def _compile(program: Program, model: Model):
             if absorbs:
                 closures.pop()
                 su, sv = slots[ui], slots[vi]
-            # the walks run from the state last seen, as indexes by start and those values, and its relation
-            kept, kept_state, pairs = {}, None, ((None, None),)
+            pairs_state, pairs = None, ((None, None),)  # the last state seen and its relation
 
             def joined(env, state):
                 """For each pair the absorbed enumeration binds, or once: the walk's prefixes whose c is b,
                 each after the fuel spent since the last one passed on, and then that for the rest."""
-                nonlocal remaining, kept_state, pairs
-                if state is not kept_state:  # states are never written, so identity is equality
-                    kept.clear()
-                    kept_state = state
-                    if absorbs:
-                        pairs = relation(state)
-                key = (env[ss], *[env[slot] for slot in keyed])
-                hit = kept.get(key)
+                nonlocal remaining, pairs_state, pairs
+                if absorbs and state is not pairs_state:  # states are never written, so identity is equality
+                    pairs_state, pairs = state, relation(state)
+                recorded = None  # the walk's steps, its prefix count and its index
                 domain = domains[env[sa] - 1]
                 due = 1 if absorbs else 0  # the fuel spent since the last prefix passed on: the enumeration's step
                 for pair in pairs:
                     b = pair[at] if at < 2 else env[sb]
                     position = walk_pos.get(b)
                     cost = 1 if position is None or position not in domain else 2  # what the redirect and the test spend rejecting a prefix
-                    if hit is None:  # the iterate's step, then the walk
+                    if recorded is None:  # the iterate's step, then the walk
                         spend(due + 1)
                         entry_remaining, due = remaining, 0
                         prefixes = walk(env, state, env[ss])
                         index = {}  # each c value's prefixes, with their positions
                         for k, (walked, walk_state) in enumerate(prefixes):
                             index.setdefault(walked[sc], []).append((k, walked, walk_state))
-                        kept[key] = hit = entry_remaining - remaining, len(prefixes), index
-                    else:  # the iterate's step and a walk already run: its steps depend only on the key
-                        due += 1 + hit[0]
+                        recorded = entry_remaining - remaining, len(prefixes), index
+                    else:  # the iterate's step and the walk this call ran: no pair changes what it reads
+                        due += 1 + recorded[0]
                     done = 0
-                    for k, walked, walk_state in hit[2].get(b, ()):
+                    for k, walked, walk_state in recorded[2].get(b, ()):
                         spend(due + (k - done) * cost)
                         due, done = 0, k + 1
                         outcome = env[:], walk_state  # the current bindings plus the pair and what the walk writes
@@ -505,7 +488,7 @@ def _compile(program: Program, model: Model):
                         for slot in written:
                             outcome[0][slot] = walked[slot]
                         yield outcome
-                    due += (hit[1] - done) * cost
+                    due += (recorded[1] - done) * cost
                 spend(due)
 
             return joined, False

@@ -18,6 +18,7 @@ says whether every tour of the model is a relabelling of every other.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -331,7 +332,7 @@ def load_model(document) -> Model:
             path = f"objective.matrix[{r}]"
             _require(isinstance(row, list) and len(row) == side, f"matrix row must have {side} entries", path)
             for c, entry in enumerate(row):
-                _require(_is_int(entry) or isinstance(entry, float), "matrix entries must be numbers", f"{path}[{c}]")
+                _require(_is_int(entry) or isinstance(entry, float) and math.isfinite(entry), "matrix entries must be finite numbers", f"{path}[{c}]")
                 _require(r == c or entry >= 0, "off-diagonal costs must be non-negative", f"{path}[{c}]")
             rows.append(tuple(row))
         matrix = tuple(rows)

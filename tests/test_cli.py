@@ -242,6 +242,15 @@ class TestSolve:
         assert len(payload["restarts"]) == 3
         assert payload["best_objective"] == min(t["objective"] for t in payload["restarts"])
 
+    def test_non_finite_cost_exits_two(self, tmp_path):
+        model = json.loads(fixture_text("tsp4.json"))
+        model["objective"]["matrix"][0][2] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        proc = run_cli("solve", "--model", str(path), "--op", fixture("two_opt.ndl"), "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "objective.matrix[0][2]" in proc.stderr and proc.stderr.count("\n") == 1
+
 
 class TestSynth:
     def test_report_written_and_deterministic(self, tmp_path):

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noodle.grammar import derive_grammar, map_genome
@@ -422,9 +422,9 @@ def successor_model(cities):
 
 
 class TestTwoOptSweep:
-    """2-opt walks the tour from t1 once per (t0, t1) branch and reuses the walk for each (t2, t3) pair:
-    the fuel spent between two prefixes passed on is charged in one go where the fuel left covers it,
-    and the run truncates with no fuel left where not."""
+    """2-opt walks the tour from t1 once in each (t0, t1) branch's stage call and charges that walk's
+    recorded steps for each later (t2, t3) pair of the call: the fuel spent between two prefixes passed
+    on is charged in one go where the fuel left covers it, and the run truncates with no fuel left where not."""
 
     @pytest.mark.parametrize("cities", [6, 9])
     def test_every_fuel_and_cap(self, cities, two_opt, tsp6):
@@ -496,7 +496,7 @@ REDIRECT_THEN_TEST = {
     "joined on a body binding": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t0), "
     "iterate(t3 - t4, t1, (constraint(next, t4, t5), redirect(t5, t3))), redirect(t0, t2), constraint(next, t0, t5)"),
     "joined, an effect before": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), swap_values(t1, t3), "
-    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # kept walks keyed on the swapped state
+    "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(next, t0, t5)"),  # the walk runs on the swapped state
     "joined in an iterate body": (BESIDE_CIRCUIT, "iterate(t0 - t1, t2, (iterate(t3 - t4, t1, (redirect(t4, t3))), "
     "redirect(t0, t2), constraint(next, t0, t4)))"),  # committed choice drops the prefixes after the first that passes
     "joined, a beside the walk": (BESIDE_CIRCUIT, "constraint(not_equal, t0, t1), constraint(next, t2, t3), "
@@ -636,7 +636,7 @@ class TestRedirectThenCircuitTest:
         k = 0
         while t5 != 2:
             t5, k = start[t5 - 1], k + 1
-        before = first + 1 + 2 * walk + 2 * k  # the iterate, the kept walk and the run before n2's prefix
+        before = first + 1 + 2 * walk + 2 * k  # the iterate, the walk's recorded steps and the run before n2's prefix
         after = before + 2 + 1 + 2 * (walk - k - 1)  # the redirect and the test, redirect(t1, t3), the run after
         assert neighbors(two_opt, model, start, until=lambda values: True).steps_used == before + 3
         for boundary in (first, before, after):
@@ -676,7 +676,8 @@ WALK_REUSE = {
 
 
 class TestWalkReuse:
-    """Walks that are not joined, and so not kept, stay the reference's at every fuel and cap."""
+    """Walks that are not joined, each run afresh on every branch that reaches it, stay the
+    reference's at every fuel and cap."""
 
     @pytest.mark.parametrize("model, name", REUSE_MODELS, ids=lambda value: getattr(value, "name", None))
     @pytest.mark.parametrize("shape", WALK_REUSE)
@@ -686,7 +687,8 @@ class TestWalkReuse:
             assert_every_fuel_and_cap(program, model, random_start(model, seed))
 
 
-FUZZ_MODELS = (BESIDE_CIRCUIT, TWO_CIRCUITS, load_model(fixture_text("tsp6.json")), load_model(fixture_text("tsp6_full.json")))
+TSP6, TSP6_FULL = load_model(fixture_text("tsp6.json")), load_model(fixture_text("tsp6_full.json"))
+FUZZ_MODELS = (BESIDE_CIRCUIT, TWO_CIRCUITS, TSP6, TSP6_FULL)
 FUZZ_VARIABLES = [f"t{i}" for i in range(7)]
 
 
@@ -751,6 +753,21 @@ class TestJoinedShapes:
     """A differential fuzz over walks that may join the redirect and the test after them: nested
     headers, rebound enumerated variables, and bodies that bind or read what the join reads."""
 
+    # one case per near miss of the absorption rule: a rule that absorbed the enumeration
+    # there gets the case wrong from every start, where only a few percent of drawn cases
+    # would show it
+    @example(case=(TSP6, "constraint(all_diff_next, t0, t1), constraint(all_diff_next, t2, t3), iterate(t4 - t5, t3, (redirect(t5, t4))), "
+                   "redirect(t0, t2), constraint(all_diff_next, t0, t5), redirect(t1, t3)"), seed=0, fuel=5000, cap=60, k=20)  # binds the start
+    @example(case=(TSP6_FULL, "constraint(all_diff_next, t2, t1), constraint(all_diff_next, t0, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
+                   "redirect(t0, t2), constraint(all_diff_next, t0, t5)"), seed=1, fuel=5000, cap=60, k=20)  # binds a
+    @example(case=(TSP6_FULL, "constraint(all_diff_next, t0, t1), constraint(all_diff_next, t2, t3), "
+                   "iterate(t4 - t5, t1, (constraint(all_diff_next, t4, t3), redirect(t5, t4))), redirect(t0, t2), constraint(all_diff_next, t0, t5)"),
+             seed=2, fuel=5000, cap=60, k=20)  # binds what the body reads
+    @example(case=(TSP6, "constraint(all_diff_next, t0, t1), constraint(all_diff_next, t2, t3), constraint(all_diff_next, t3, t4), "
+                   "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), constraint(all_diff_next, t0, t5)"),
+             seed=3, fuel=5000, cap=60, k=20)  # has an operand bound
+    @example(case=(BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t2), iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t2), "
+                   "constraint(next, t0, t5), swap_values(t1, t2)"), seed=4, fuel=5000, cap=60, k=20)  # binds one variable twice
     @settings(max_examples=500, deadline=None)
     @given(case=walk_then_test(), seed=st.integers(0, 1000), fuel=st.integers(0, 5000), cap=st.integers(0, 60), k=st.integers(1, 20))
     def test_matches_reference(self, case, seed, fuel, cap, k):

@@ -103,6 +103,23 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="matrix"):
             load_model(doc)
 
+    @pytest.mark.parametrize(
+        "cities, matrix, path",
+        [
+            (1, "[[NaN]]", "objective.matrix[0][0]"),
+            (3, "[[0, 1, Infinity], [1, 0, 1], [1, 1, 0]]", "objective.matrix[0][2]"),
+            (3, "[[0, 1, 1], [1e999, 0, 1], [1, 1, 0]]", "objective.matrix[1][0]"),  # loads as inf
+        ],
+        ids=["NaN on the diagonal", "Infinity", "1e999"],
+    )
+    def test_non_finite_costs_rejected(self, cities, matrix, path):
+        # a non-finite cost would reach stdout as Infinity or NaN, neither of them JSON
+        doc = circuit_model_doc(cities)
+        doc["objective"] = {"kind": "next_cost", "matrix": "MATRIX"}
+        with pytest.raises(ModelError, match="finite") as err:
+            load_model(json.dumps(doc).replace('"MATRIX"', matrix))
+        assert err.value.path == path
+
     def test_duplicate_domain_set_values(self):
         doc = circuit_model_doc(3)
         doc["variables"][0]["domain"] = {"set": [1, 2, 2]}

@@ -8,7 +8,8 @@ with perfbench's own workload code (read, never edited) and run the same
 calls the benchmark times.  The same runs total what the ``neighbors``
 calls of fitness and of the hill climber return, as perfbench's traced
 run counts them, so a change that claims to keep every traced count
-shows it here.
+shows it here.  Last, perfbench's tracer (also read, never edited) must
+still hook and count every layer it reads.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import noodle
 import noodle.evolution
 import noodle.search
 
-from tests.conftest import ROOT
+from tests.conftest import ROOT, fixture_text
 
 PERFBENCH = ROOT / "perfbench"
 
@@ -32,12 +33,16 @@ NEIGHBORS_TOTALS = {
 }
 
 
-def perfbench_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def perfbench_module(stem: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_workloads():
+    return perfbench_module("workloads")
 
 
 class NoSpans:
@@ -75,3 +80,21 @@ def test_synth_color12_digest_matches_expected(monkeypatch):
 
 def test_synth_tsp6_digest_matches_expected(monkeypatch):
     assert_digest_matches_expected("synth-tsp6", monkeypatch)
+
+
+def test_tracer_hooks_count_every_layer():
+    # perfbench's traced run reads each layer through a hook on the name its caller looks
+    # up and counts from what the call returns; a renamed function or a changed return
+    # shape would make that layer's metrics read zero without failing the run
+    tracer = perfbench_module("tracer").Tracer()
+    model = noodle.load_model(fixture_text("tsp6.json"))
+    program = noodle.parse(fixture_text("two_opt.ndl"))
+    tracer.install()
+    try:
+        result = noodle.solve(model, program, noodle.SearchConfig(restarts=3, seed=7))
+        noodle.evolve(model, noodle.EvolutionConfig(population_size=10, generations=2, seed=1))
+    finally:
+        tracer.uninstall()
+    assert not tracer.uncounted
+    assert set(tracer.absent) <= {"noodle.grammar.parse"}  # the grammar builds trees without the parser
+    assert tracer.counts["search.climb_steps"] == sum(trace.steps for trace in result.traces) > 0
