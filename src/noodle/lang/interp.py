@@ -48,22 +48,20 @@ bound on every later step, so the body is compiled once for each, with a
 memo on (body, bound set) that keeps nested iterates from doubling per
 level.  Bindings live in a list with one slot per program variable.
 
-A walk is joined to the two atoms after it: ``iterate`` from a bound
-start, then ``redirect(a, b), constraint(S, a, c)`` with S naming the
-structural circuit alone (compared by identity), where the walk writes c
-(its header, its body or a nested header does) and writes neither a nor
-b.  The circuit's ``holds(values, a, c)`` is ``a in positions and
-values[a-1] == positions[c]``, its positions are ``walk_pos``, the
-redirect has just set ``values[a-1]`` to ``walk_pos[b]``, and
-``walk_pos`` is one-to-one, so only a prefix whose c is b can pass the
-test.  The joined stage builds, beside the walk it runs, an index from
-c's value in each prefix to that prefix's positions (a list: on a state
-that is not a permutation the walk can repeat a value), and yields only
-the prefixes listed under b; the redirect and the test still run on each
-of them.  Every prefix it skips is charged what those two atoms would have
-spent rejecting it: one step when b's position is outside a's domain (the
-redirect fails its domain check), else two (the redirect copies the
-state, then the test fails).
+A walk takes the two atoms after it into one joined stage: ``iterate``
+from a bound start, then ``redirect(a, b), constraint(S, a, c)`` with S
+naming the structural circuit alone (compared by identity), where the
+walk writes c (its header, its body or a nested header does) and writes
+neither a nor b.  The circuit's ``holds(values, a, c)`` is ``a in
+positions and values[a-1] == positions[c]``, its positions are
+``walk_pos``, the redirect sets ``values[a-1]`` to ``walk_pos[b]``, and
+``walk_pos`` is one-to-one, so a prefix passes both atoms iff its c is
+b, b's position is in a's domain and a is in the circuit.  The stage
+indexes its walk's prefixes by c's value (a list: on a state that is not
+a permutation the walk can repeat a value) and yields, for each prefix
+that passes, a copy of its state with a redirected.  Each prefix is
+charged what the two atoms would spend on it: one step when b's position
+is outside a's domain (the redirect fails), else two.
 
 An enumeration ``constraint(S', u, v)`` of two distinct unbound variables
 directly before a joined walk is absorbed into the joined stage when u
@@ -72,7 +70,7 @@ a: then one walk and one a serve every pair, and b is u, v or neither.
 The stage charges the enumeration's step and takes the sorted relation
 once per state object; then, for each pair in relation order, it charges
 what a stage per pair would: the iterate's step, the walk (run for the
-first pair, its recorded steps for the rest) and the skipped prefixes.
+first pair, its recorded steps for the rest) and the prefixes.
 Without an absorbed enumeration it makes that one pass for the incoming
 bindings.  The charges between two prefixes passed on are summed into
 one subtraction, and when the fuel left does not cover the sum,
@@ -80,8 +78,8 @@ one subtraction, and when the fuel left does not cover the sum,
 charge c fails iff c exceeds the fuel left and leaves 0 behind, and
 nothing observable (an emit, ``until`` or the cap) happens between them,
 so neighbors, truncation and ``steps_used`` are unchanged.  Only a
-prefix passed on copies the bindings.  In 2-opt this makes one stage per
-(t0, t1), passing on one prefix per (t2, t3), not ~19.
+prefix passed on copies the bindings and the state.  In 2-opt this makes
+one stage per (t0, t1), passing on one prefix per (t2, t3), not ~19.
 
 A conjunction runs as one depth-first loop over a stack holding an
 outcome iterator per matched generator atom (an enumerating constraint
@@ -261,8 +259,8 @@ def _compile(program: Program, model: Model):
         key = (id(atoms), bound)
         if key not in compiled:
             live, closures = set(bound), []
-            for i, atom in enumerate(atoms):  # an iterate gets the closures so far, whose last it may absorb, and the two atoms after it, which may join it
-                closures.append(compile_iterate(atom, live, closures, atoms[i + 1:i + 3]) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live))
+            for i, atom in (rest := enumerate(atoms)):  # an iterate gets the closures so far, whose last it may absorb, and the two atoms after it, which it takes from rest if they join it
+                closures.append(compile_iterate(atom, live, closures, atoms[i + 1:i + 3], rest) if type(atom) is Iterate else COMPILERS[type(atom)](atom, live))
             stages, then, length = [], None, 0  # built back to front
             for closure, is_step in reversed(closures):
                 if is_step and length == MAX_CHAIN:  # the chain so far as a stage of its own, one outcome or none
@@ -386,7 +384,7 @@ def _compile(program: Program, model: Model):
         """(env, state) -> the conjunction's first outcome or None: committed choice."""
         return runner(conj) if conj[1] else conj[0]
 
-    def compile_iterate(atom: Iterate, bound: set, closures, after):
+    def compile_iterate(atom: Iterate, bound: set, closures, after, rest):
         before = enumerated if closures and closures[-1][0] is enumerated[0] else None  # read before the body's compile moves it
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
@@ -442,6 +440,7 @@ def _compile(program: Program, model: Model):
             return prefixes
 
         if join:
+            next(rest), next(rest)  # the stage runs the redirect and the test, so compile_conj skips them
             sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
             # a walk depends only on its entry state, its start and the entry values its body reads
             read = variables_used(Program(atom.body)) & entry - {xi, yi, si}
@@ -456,39 +455,40 @@ def _compile(program: Program, model: Model):
             pairs_state, pairs = None, ((None, None),)  # the last state seen and its relation
 
             def joined(env, state):
-                """For each pair the absorbed enumeration binds, or once: the walk's prefixes whose c is b,
-                each after the fuel spent since the last one passed on, and then that for the rest."""
+                """For each pair the absorbed enumeration binds, or once: the walk's prefixes that pass the redirect
+                and the test, redirected, each after the fuel spent since the last one passed on, and then that for the rest."""
                 nonlocal remaining, pairs_state, pairs
                 if absorbs and state is not pairs_state:  # states are never written, so identity is equality
                     pairs_state, pairs = state, relation(state)
-                recorded = None  # the walk's steps, its prefix count and its index
-                domain = domains[env[sa] - 1]
+                index = None  # each c value's prefixes, with their positions, once the walk has run
+                a = env[sa]
+                domain, inside = domains[a - 1], a in walk_pos  # the redirect's domain check; the test's, with c = b
                 due = 1 if absorbs else 0  # the fuel spent since the last prefix passed on: the enumeration's step
                 for pair in pairs:
                     b = pair[at] if at < 2 else env[sb]
                     position = walk_pos.get(b)
-                    cost = 1 if position is None or position not in domain else 2  # what the redirect and the test spend rejecting a prefix
-                    if recorded is None:  # the iterate's step, then the walk
+                    cost = 1 if position is None or position not in domain else 2  # what the redirect and the test spend on a prefix
+                    if index is None:  # the iterate's step, then the walk
                         spend(due + 1)
-                        entry_remaining, due = remaining, 0
+                        entry_remaining, due, index = remaining, 0, {}
                         prefixes = walk(env, state, env[ss])
-                        index = {}  # each c value's prefixes, with their positions
                         for k, (walked, walk_state) in enumerate(prefixes):
                             index.setdefault(walked[sc], []).append((k, walked, walk_state))
-                        recorded = entry_remaining - remaining, len(prefixes), index
+                        walk_steps, count = 1 + entry_remaining - remaining, len(prefixes)  # the iterate's step and the walk's; its prefixes
                     else:  # the iterate's step and the walk this call ran: no pair changes what it reads
-                        due += 1 + recorded[0]
+                        due += walk_steps
                     done = 0
-                    for k, walked, walk_state in recorded[2].get(b, ()):
-                        spend(due + (k - done) * cost)
+                    for k, walked, walk_state in index.get(b, ()) if cost == 2 and inside else ():
+                        spend(due + (k + 1 - done) * cost)  # the prefixes since the last passed on, and this one
                         due, done = 0, k + 1
-                        outcome = env[:], walk_state  # the current bindings plus the pair and what the walk writes
+                        outcome = env[:], walk_state[:]  # the current bindings plus the pair and what the walk writes; a copy: prefixes share states
+                        outcome[1][a - 1] = position
                         if absorbs:
                             outcome[0][su], outcome[0][sv] = pair
                         for slot in written:
                             outcome[0][slot] = walked[slot]
                         yield outcome
-                    due += (recorded[1] - done) * cost
+                    due += (count - done) * cost
                 spend(due)
 
             return joined, False

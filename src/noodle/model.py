@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -332,10 +333,11 @@ def load_model(document) -> Model:
             path = f"objective.matrix[{r}]"
             _require(isinstance(row, list) and len(row) == side, f"matrix row must have {side} entries", path)
             for c, entry in enumerate(row):
-                _require(_is_int(entry) or isinstance(entry, float) and math.isfinite(entry), "matrix entries must be finite numbers", f"{path}[{c}]")
+                _require((_is_int(entry) or isinstance(entry, float)) and abs(entry) <= sys.float_info.max, "matrix entries must be finite numbers", f"{path}[{c}]")
                 _require(r == c or entry >= 0, "off-diagonal costs must be non-negative", f"{path}[{c}]")
             rows.append(tuple(row))
-        matrix = tuple(rows)
+        matrix = tuple(rows)  # its row maxima bound every tour's cost
+        _require(math.isfinite(sum(map(max, matrix), 0.0)), "a tour's cost must sum to a finite number", "objective.matrix")
     elif okind == "distinct_count":
         ogroup = obj_spec.get("group")
         _require(isinstance(ogroup, str) and ogroup in groups, f"unknown group {ogroup!r}", "objective.group")

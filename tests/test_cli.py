@@ -251,6 +251,18 @@ class TestSolve:
         assert proc.returncode == 2
         assert proc.stdout == "" and "objective.matrix[0][2]" in proc.stderr and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("fill, entry, path", [(1e308, 1e308, "objective.matrix"), (1.5, 10**400, "objective.matrix[0][2]")], ids=["sum", "entry"])
+    def test_overflowing_tour_cost_exits_two(self, tmp_path, fill, entry, path):
+        # every off-diagonal 1e308 sums to Infinity; an integer past the float range cannot be summed with 1.5
+        model = json.loads(fixture_text("tsp4.json"))
+        model["objective"]["matrix"] = [[0 if r == c else fill for c in range(4)] for r in range(4)]
+        model["objective"]["matrix"][0][2] = entry
+        model_path = tmp_path / "overflow.json"
+        model_path.write_text(json.dumps(model), encoding="utf-8")
+        proc = run_cli("solve", "--model", str(model_path), "--op", fixture("two_opt.ndl"), "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and f"{path}:" in proc.stderr and proc.stderr.count("\n") == 1
+
 
 class TestSynth:
     def test_report_written_and_deterministic(self, tmp_path):

@@ -505,6 +505,9 @@ REDIRECT_THEN_TEST = {
     "iterate(t4 - t5, t1, (iterate(t1 - t4, t5, (redirect(t4, t1))))), redirect(t0, t2), constraint(next, t0, t5), redirect(t1, t3)"),
     "joined, b's position outside a's domain": (load_model(fixture_text("tsp6.json")), "constraint(all_diff_next, t0, t1), "
     "iterate(t4 - t5, t1, (redirect(t5, t4))), redirect(t0, t0), constraint(all_diff_next, t0, t5)"),
+    "joined, a body that writes no state": (load_model(fixture_text("tsp6.json")), "constraint(all_diff_next, t0, t1), "
+    "constraint(all_diff_next, t4, t5), iterate(t2 - t3, t1, (constraint(all_diff_next, t2, t3))), redirect(t0, t4), "
+    "constraint(all_diff_next, t0, t3)"),  # every prefix's state is the stage's input state, which the redirect must copy
     "a written by the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
     "redirect(t4, t2), constraint(next, t4, t5)"),
     "b written by the walk": (BESIDE_CIRCUIT, "constraint(next, t0, t1), constraint(next, t2, t3), iterate(t4 - t5, t1, (redirect(t5, t4))), "
@@ -535,7 +538,7 @@ REDIRECT_THEN_TEST = {
 }
 JOINED = {case for case in REDIRECT_THEN_TEST if case.startswith("joined")}
 # the joined cases whose stage absorbs the enumeration just before the walk
-ABSORBED = {"joined 2-opt", "joined on x", "joined, a nested header rebinds the start"}
+ABSORBED = {"joined 2-opt", "joined on x", "joined, a nested header rebinds the start", "joined, a body that writes no state"}
 
 
 def joined_stages(program, model):

@@ -120,6 +120,22 @@ class TestLoadModel:
             load_model(json.dumps(doc).replace('"MATRIX"', matrix))
         assert err.value.path == path
 
+    @pytest.mark.parametrize(
+        "matrix, path",
+        [
+            ("[[0, 1e308, 1e308, 1e308], [1e308, 0, 1e308, 1e308], [1e308, 1e308, 0, 1e308], [1e308, 1e308, 1e308, 0]]", "objective.matrix"),
+            (f"[[0, {10**400}, 1.5, 1.5], [1.5, 0, 1.5, 1.5], [1.5, 1.5, 0, 1.5], [1.5, 1.5, 1.5, 0]]", "objective.matrix[0][1]"),
+        ],
+        ids=["finite entries, an infinite tour", "an integer beyond the float range"],
+    )
+    def test_tour_costs_overflowing_a_float_rejected(self, matrix, path):
+        # each entry is a JSON number, but a tour's cost would be Infinity on stdout or an OverflowError
+        doc = circuit_model_doc(4)
+        doc["objective"] = {"kind": "next_cost", "matrix": "MATRIX"}
+        with pytest.raises(ModelError, match="finite") as err:
+            load_model(json.dumps(doc).replace('"MATRIX"', matrix))
+        assert err.value.path == path
+
     def test_duplicate_domain_set_values(self):
         doc = circuit_model_doc(3)
         doc["variables"][0]["domain"] = {"set": [1, 2, 2]}
