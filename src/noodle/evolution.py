@@ -26,6 +26,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from noodle.grammar import (
+    CODONS,
     DEFAULT_GENOME_LENGTH,
     DEFAULT_MAX_DEPTH,
     DEFAULT_WRAP_LIMIT,
@@ -94,6 +95,8 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.var_budget < MIN_VAR_BUDGET:
             raise ValueError(f"var_budget must be at least {MIN_VAR_BUDGET}")
+        if self.var_budget > CODONS:  # derive_grammar checks it too, but only once evolve has started
+            raise ValueError(f"var_budget must be at most {CODONS}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -235,7 +238,7 @@ def vary(
     if len(parent_a) != len(parent_b):
         raise ValueError("parents must have equal genome lengths")
     length = len(parent_a)
-    draw, getrandbits = rng.random, rng.getrandbits
+    draw, getrandbits, bits = rng.random, rng.getrandbits, CODONS.bit_length()
     if length > 1 and draw() < crossover_rate:
         point = rng.randrange(1, length)
         parent_a, parent_b = parent_a[:point] + parent_b[point:], parent_b[:point] + parent_a[point:]
@@ -244,9 +247,9 @@ def vary(
     for child in children:
         for i in range(length):
             if draw() < mutation_rate:
-                codon = getrandbits(9)
-                while codon >= 256:  # randrange(256)'s own rejection loop and draws, without its Python frames
-                    codon = getrandbits(9)
+                codon = getrandbits(bits)
+                while codon >= CODONS:  # randrange(CODONS)'s own rejection loop and draws, without its Python frames
+                    codon = getrandbits(bits)
                 child[i] = codon
     return tuple(children[0]), tuple(children[1])
 
@@ -264,7 +267,7 @@ def evolve(model: Model, config: EvolutionConfig) -> EvolutionReport:
 
     init_rng = random.Random(split_seed(config.seed, "init"))
     population = [
-        tuple(init_rng.randrange(256) for _ in range(config.genome_length))
+        tuple(init_rng.randrange(CODONS) for _ in range(config.genome_length))
         for _ in range(config.population_size)
     ]
 

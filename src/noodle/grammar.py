@@ -29,6 +29,7 @@ DEFAULT_GENOME_LENGTH = 80
 DEFAULT_WRAP_LIMIT = 2
 DEFAULT_MAX_DEPTH = 12
 MIN_VAR_BUDGET = 2
+CODONS = 256  # codon values are 0..CODONS-1, so no genome selects a <var> alternative past t{CODONS-1}
 
 NT = "NT"
 T = "T"
@@ -78,12 +79,15 @@ class MappingOutcome:
 def derive_grammar(model: Model, budget: int = DEFAULT_VAR_BUDGET) -> Grammar:
     """Derive the operator grammar for a model.
 
-    ``budget`` is the number of program variables offered (t0..t{budget-1}).
+    ``budget`` is the number of program variables offered (t0..t{budget-1}),
+    at most ``CODONS``.
     Binding discipline is deliberately not encoded here; the static
     analyzer rejects ill-bound programs after mapping.
     """
     if budget < MIN_VAR_BUDGET:
         raise ValueError(f"budget must be at least {MIN_VAR_BUDGET}")
+    if budget > CODONS:
+        raise ValueError(f"budget must be at most {CODONS}")
 
     def nt(name: str) -> Symbol:
         return (NT, name)

@@ -48,33 +48,30 @@ bound on every later step, so the body is compiled once for each, with a
 memo on (body, bound set) that keeps nested iterates from doubling per
 level.  Bindings live in a list with one slot per program variable.
 
-A walk takes the two atoms after it into one joined stage: ``iterate``
-from a bound start, then ``redirect(a, b), constraint(S, a, c)`` with S
-naming the structural circuit alone (compared by identity), where the
-walk writes c (its header, its body or a nested header does) and writes
-neither a nor b.  The circuit's ``holds(values, a, c)`` is ``a in
-positions and values[a-1] == positions[c]``, its positions are
-``walk_pos``, the redirect sets ``values[a-1]`` to ``walk_pos[b]``, and
+A walk joins the enumeration before it and the two atoms after it into
+one stage in one shape, 2-opt's: ``constraint(S', u, v)`` of two distinct
+unbound variables, ``iterate(x - y, s, body)`` from a bound start, then
+``redirect(a, u), constraint(S, a, c)`` with S naming the structural
+circuit alone (compared by identity), where the walk writes c (its
+header, its body or a nested header does) and writes neither a nor u,
+and u and v are none of s, a and the entry values the body reads.  Every
+other shape runs atom by atom.  The circuit's ``holds(values, a, c)`` is
+``a in positions and values[a-1] == positions[c]``, its positions are
+``walk_pos``, the redirect sets ``values[a-1]`` to ``walk_pos[u]``, and
 ``walk_pos`` is one-to-one, so a prefix passes both atoms iff its c is
-b, b's position is in a's domain and a is in the circuit.  The stage
-indexes its walk's prefixes by c's value (a list: on a state that is not
-a permutation the walk can repeat a value) and yields, for each prefix
-that passes, a copy of its state with a redirected.  Each prefix is
-charged what the two atoms would spend on it: one step when b's position
-is outside a's domain (the redirect fails), else two.
-
-An enumeration ``constraint(S', u, v)`` of two distinct unbound variables
-directly before a joined walk is absorbed into the joined stage when u
-and v are none of the walk's start, the entry values its body reads and
-a: then one walk and one a serve every pair, and b is u, v or neither.
+u, u's position is in a's domain and a is in the circuit; and no pair
+changes what the walk or a reads, so one walk and one a serve every pair.
 The stage charges the enumeration's step and takes the sorted relation
 once per state object; then, for each pair in relation order, it charges
-what a stage per pair would: the iterate's step, the walk (run for the
-first pair, its recorded steps for the rest) and the prefixes.
-Without an absorbed enumeration it makes that one pass for the incoming
-bindings.  The charges between two prefixes passed on are summed into
-one subtraction, and when the fuel left does not cover the sum,
-``remaining`` drops to 0 and the run truncates: step by step, each
+what the atoms would: the iterate's step, the walk (run for the first
+pair, its recorded steps for the rest) and what the redirect and the
+test spend on each prefix, one step when u's position is outside a's
+domain (the redirect fails), else two.  It indexes the walk's prefixes
+by c's value (a list: on a state that is not a permutation the walk can
+repeat a value) and yields, for each prefix that passes, a copy of its
+state with a redirected.  The charges between two prefixes passed on are
+summed into one subtraction, and when the fuel left does not cover the
+sum, ``remaining`` drops to 0 and the run truncates: step by step, each
 charge c fails iff c exceeds the fuel left and leaves 0 behind, and
 nothing observable (an emit, ``until`` or the cap) happens between them,
 so neighbors, truncation and ``steps_used`` are unchanged.  Only a
@@ -330,7 +327,7 @@ def _compile(program: Program, model: Model):
                     env2[sb] = v
                     yield env2, state
 
-        if not (a_bound or b_bound or same):  # a joined walk right after it may absorb it
+        if not (a_bound or b_bound or same):  # a walk right after it may join it
             enumerated = bind, ai, bi, relation
         return bind, False
 
@@ -389,12 +386,12 @@ def _compile(program: Program, model: Model):
         xi, yi, si = atom.x.index, atom.y.index, atom.start.index
         sx, sy, ss = slots[xi], slots[yi], slots[si]
         start_bound = si in bound
-        # redirect(a, b), constraint(S, a, c) after a walk from a bound start, a and b bound and S
-        # naming the structural circuit alone: the walk joins them if it writes c but neither a nor b
+        # constraint(S', u, v) of two unbound variables just before a walk from a bound start, then
+        # redirect(a, u), constraint(S, a, c) with a bound and S naming the structural circuit alone
         redirect, test = after if len(after) == 2 else (None, None)
-        join = (start_bound and type(redirect) is Redirect and type(test) is ConstraintAtom and test.a == redirect.a
-                and {redirect.a.index, redirect.b.index} <= bound and len(named := model.constraints_by_name(test.name)) == 1
-                and named[0] is circuit)
+        join = (before is not None and start_bound and type(redirect) is Redirect and type(test) is ConstraintAtom
+                and test.a == redirect.a and redirect.b.index == before[1] and redirect.a.index in bound
+                and len(named := model.constraints_by_name(test.name)) == 1 and named[0] is circuit)
         if join:
             entry = set(bound)
         bound.update((xi, yi, si))
@@ -403,9 +400,14 @@ def _compile(program: Program, model: Model):
         first, later = first_outcome(conj), first_outcome(conj_later)
         bound |= bound_later
         if join:  # what a walk writes: what its body binds, its header and nested ones
+            _, ui, vi, relation = before
+            ai = redirect.a.index
             writes = bound - entry | {v.index for inner in (atom, *preorder(atom.body)) if type(inner) is Iterate for v in (inner.x, inner.y)}
             written = [slots[v] for v in sorted(writes)]
-            join = test.b.index in writes and not {redirect.a.index, redirect.b.index} & writes
+            # the walk writes c but neither a nor u, and u and v are none of what one walk and one a
+            # serve every pair with: the start, the entry values the body reads and a
+            join = (test.b.index in writes and not {ai, ui} & writes
+                    and not {ui, vi} & (variables_used(Program(atom.body)) - {xi, yi} | {si, ai}))
         same = xi == yi
         steps = range(len(walk_scope))
 
@@ -441,32 +443,22 @@ def _compile(program: Program, model: Model):
 
         if join:
             next(rest), next(rest)  # the stage runs the redirect and the test, so compile_conj skips them
-            sa, sb, sc = slots[redirect.a.index], slots[redirect.b.index], slots[test.b.index]
-            # a walk depends only on its entry state, its start and the entry values its body reads
-            read = variables_used(Program(atom.body)) & entry - {xi, yi, si}
-            # the enumeration just before, absorbed when it binds none of those and not a:
-            # then one walk, and one a, serve every pair
-            _, ui, vi, relation = before or (None,) * 4
-            absorbs = ui is not None and not {ui, vi} & (read | {si, redirect.a.index})
-            at = (ui, vi, redirect.b.index).index(redirect.b.index) if absorbs else 2  # b is the pair's u, its v or neither
-            if absorbs:
-                closures.pop()
-                su, sv = slots[ui], slots[vi]
-            pairs_state, pairs = None, ((None, None),)  # the last state seen and its relation
+            closures.pop()  # and the enumeration: one walk, and one a, serve every pair it binds
+            sa, su, sv, sc = slots[ai], slots[ui], slots[vi], slots[test.b.index]
+            pairs_state = pairs = None  # the last state seen and its relation
 
             def joined(env, state):
-                """For each pair the absorbed enumeration binds, or once: the walk's prefixes that pass the redirect
+                """For each pair (u, v) the enumeration binds: the walk's prefixes whose c is u that pass the redirect
                 and the test, redirected, each after the fuel spent since the last one passed on, and then that for the rest."""
                 nonlocal remaining, pairs_state, pairs
-                if absorbs and state is not pairs_state:  # states are never written, so identity is equality
+                if state is not pairs_state:  # states are never written, so identity is equality
                     pairs_state, pairs = state, relation(state)
                 index = None  # each c value's prefixes, with their positions, once the walk has run
                 a = env[sa]
-                domain, inside = domains[a - 1], a in walk_pos  # the redirect's domain check; the test's, with c = b
-                due = 1 if absorbs else 0  # the fuel spent since the last prefix passed on: the enumeration's step
-                for pair in pairs:
-                    b = pair[at] if at < 2 else env[sb]
-                    position = walk_pos.get(b)
+                domain, inside = domains[a - 1], a in walk_pos  # the redirect's domain check; the test's, with c = u
+                due = 1  # the fuel spent since the last prefix passed on: the enumeration's step
+                for u, v in pairs:
+                    position = walk_pos.get(u)
                     cost = 1 if position is None or position not in domain else 2  # what the redirect and the test spend on a prefix
                     if index is None:  # the iterate's step, then the walk
                         spend(due + 1)
@@ -478,13 +470,12 @@ def _compile(program: Program, model: Model):
                     else:  # the iterate's step and the walk this call ran: no pair changes what it reads
                         due += walk_steps
                     done = 0
-                    for k, walked, walk_state in index.get(b, ()) if cost == 2 and inside else ():
+                    for k, walked, walk_state in index.get(u, ()) if cost == 2 and inside else ():
                         spend(due + (k + 1 - done) * cost)  # the prefixes since the last passed on, and this one
                         due, done = 0, k + 1
                         outcome = env[:], walk_state[:]  # the current bindings plus the pair and what the walk writes; a copy: prefixes share states
                         outcome[1][a - 1] = position
-                        if absorbs:
-                            outcome[0][su], outcome[0][sv] = pair
+                        outcome[0][su], outcome[0][sv] = u, v
                         for slot in written:
                             outcome[0][slot] = walked[slot]
                         yield outcome

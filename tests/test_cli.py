@@ -147,6 +147,13 @@ class TestGrammar:
         assert '"t2"' in proc.stdout
         assert '"t3"' not in proc.stdout
 
+    def test_budget_of_one_per_codon(self):
+        # codons are 0..255, so a genome can select t255 but never t256
+        proc = run_cli("grammar", "--model", fixture("tsp6.json"), "--budget", "256")
+        assert proc.returncode == 0
+        assert '"t255"' in proc.stdout
+        assert '"t256"' not in proc.stdout
+
 
 class TestNeighbors:
     def test_line_count_matches_library(self, circuit3, swap_pair):
@@ -292,6 +299,11 @@ class TestSynth:
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
 
+    def test_budget_of_one_per_codon(self):
+        proc = run_cli("synth", "--model", fixture("tsp6.json"), "--seed", "1", "--budget", "256", "--pop", "4", "--gens", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["var_budget"] == 256
+
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_output_exits_two_before_evolving(self, tmp_path, flag, target):
@@ -376,6 +388,8 @@ class TestMisc:
             (("solve", "--op", fixture("two_opt.ndl"), "--cap", "-1"), "--cap"),
             (("solve", "--op", fixture("two_opt.ndl"), "--fuel", "-1"), "--fuel"),
             (("neighbors", "--assignment", fixture("tour6.json"), "--op", fixture("two_opt.ndl"), "--budget", "0"), "--budget"),
+            (("grammar", "--budget", "257"), "--budget"),
+            (("synth", "--budget", "257", "--pop", "4", "--gens", "1"), "--budget"),
         ],
     )
     def test_range_errors_name_the_flag(self, args, flag):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import noodle.evolution
 from noodle.evolution import EvolutionConfig, Fitness, evaluate_fitness, evolve, sample_seeds_for, vary
-from noodle.grammar import derive_grammar, map_genome
+from noodle.grammar import CODONS, derive_grammar, map_genome
 from noodle.lang.analyzer import DEFAULT_VAR_BUDGET, analyze, optimize
 from noodle.lang.ast import render, variables_used
 from noodle.lang.interp import neighbors
@@ -202,6 +202,9 @@ class TestEvolve:
             EvolutionConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=0)
+        with pytest.raises(ValueError, match=f"var_budget must be at most {CODONS}"):
+            EvolutionConfig(var_budget=CODONS + 1)
+        assert EvolutionConfig(var_budget=CODONS).var_budget == CODONS
 
 
 genomes = st.lists(st.integers(0, 255), min_size=80, max_size=80)

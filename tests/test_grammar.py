@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noodle.grammar import DEFAULT_MAX_DEPTH, NT, derive_grammar, map_genome, render_grammar
+from noodle.grammar import CODONS, DEFAULT_MAX_DEPTH, NT, derive_grammar, map_genome, render_grammar
 from noodle.lang.analyzer import analyze
 from noodle.lang.ast import render
 from noodle.lang.parser import parse
@@ -72,6 +72,12 @@ class TestDeriveGrammar:
     def test_budget_floor(self, tsp6):
         with pytest.raises(ValueError):
             derive_grammar(tsp6, budget=1)
+
+    def test_budget_ceiling(self, tsp6):
+        # one <var> alternative per codon value: a larger budget offers variables no genome selects
+        assert len(derive_grammar(tsp6, budget=CODONS)["<var>"]) == CODONS
+        with pytest.raises(ValueError, match=f"budget must be at most {CODONS}"):
+            derive_grammar(tsp6, budget=CODONS + 1)
 
     def test_every_nonterminal_has_alternatives(self, tsp6, no_constraint_model):
         for model in (tsp6, no_constraint_model):
